@@ -146,10 +146,9 @@ func (r *Runtime) Dlopen(name string) (int64, error) {
 	// plus the module's own additions — and mark the module's functions
 	// before the aux merge.
 	var flipped []string
-	for i := range r.aux.Funcs {
-		f := &r.aux.Funcs[i]
+	for i, f := range r.aux.Funcs {
 		if addrTaken[f.Name] && !f.AddrTaken {
-			f.AddrTaken = true
+			r.markAddrTaken(i)
 			flipped = append(flipped, f.Name)
 		}
 	}
@@ -239,10 +238,9 @@ func (r *Runtime) Dlsym(handle int64, sym string) (int64, error) {
 		return 0, fmt.Errorf("mrt: %q does not export %q", dh.name, sym)
 	}
 	if s.Kind == module.SymFunc && r.Img.Instrumented {
-		for i := range r.aux.Funcs {
-			f := &r.aux.Funcs[i]
+		for i, f := range r.aux.Funcs {
 			if f.Name == sym && !f.AddrTaken {
-				f.AddrTaken = true
+				r.markAddrTaken(i)
 				if err := r.publishDelta(module.AuxInfo{}, []string{sym}, nil); err != nil {
 					return 0, err
 				}

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"mcfi/internal/cfg"
@@ -76,8 +77,13 @@ type Runtime struct {
 	outM sync.Mutex
 
 	// Dynamic-linking state, guarded by mu.
-	mu          sync.Mutex
-	aux         module.AuxInfo // merged, absolute addresses
+	mu sync.Mutex
+	// aux is the merged aux info, at absolute addresses. New shares the
+	// image's arrays, clipped so appends reallocate; auxFuncsOwned
+	// records that aux.Funcs has been copied and may change in place.
+	aux           module.AuxInfo
+	auxFuncsOwned bool
+
 	syms        map[string]linker.SymInfo
 	branchIndex map[int]int // IB offset -> Bary index
 	nextBranch  int
@@ -124,7 +130,7 @@ func New(img *linker.Image, opts Options) (*Runtime, error) {
 		Proc:        vm.NewProcess(),
 		Img:         img,
 		opts:        opts,
-		aux:         img.Aux,
+		aux:         clipAux(img.Aux),
 		syms:        map[string]linker.SymInfo{},
 		branchIndex: map[int]int{},
 		libs:        map[string]*module.Object{},
@@ -192,6 +198,28 @@ func New(img *linker.Image, opts Options) (*Runtime, error) {
 		}
 	}
 	return r, nil
+}
+
+// clipAux returns a copy of a's headers whose appends cannot write
+// into the spare capacity of a's arrays. The image is shared by every
+// runtime built from it, so its arrays must never change.
+func clipAux(a module.AuxInfo) module.AuxInfo {
+	a.Funcs = slices.Clip(a.Funcs)
+	a.IBs = slices.Clip(a.IBs)
+	a.RetSites = slices.Clip(a.RetSites)
+	a.SetjmpConts = slices.Clip(a.SetjmpConts)
+	a.AsmAnnotations = slices.Clip(a.AsmAnnotations)
+	return a
+}
+
+// markAddrTaken marks r.aux.Funcs[i] address-taken, copying the array
+// away from the image first. Caller holds mu.
+func (r *Runtime) markAddrTaken(i int) {
+	if !r.auxFuncsOwned {
+		r.aux.Funcs = slices.Clone(r.aux.Funcs)
+		r.auxFuncsOwned = true
+	}
+	r.aux.Funcs[i].AddrTaken = true
 }
 
 // registerFusedSites tells the VM where the image's check transactions

@@ -58,8 +58,8 @@ const (
 	// EngineBlockJIT is the threaded engine plus a profile-guided
 	// fill-time block compiler (see blockjit.go): straight-line basic
 	// blocks whose execution count crosses the JIT threshold are
-	// compiled into one composed closure with operands pre-bound, so
-	// the run loop makes one dispatch per block instead of per
+	// compiled into a trace of steps with operands pre-bound, so the
+	// run loop makes one dispatch per block instead of per
 	// instruction. Cold code falls back to threaded dispatch.
 	EngineBlockJIT
 )

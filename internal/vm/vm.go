@@ -19,8 +19,15 @@
 // check-transaction superinstructions (fused.go); EngineThreaded, the
 // default, dispatches through per-slot func pointers with branch
 // folding and trace superinstructions (threaded.go); EngineBlockJIT
-// compiles hot straight-line blocks into composed closures
+// compiles hot straight-line blocks into traces of pre-bound steps
 // (blockjit.go).
+//
+// Guest memory lives outside the Go heap (sandbox.go). NewProcess takes
+// an anonymous mapping from a small free list, or maps a fresh one;
+// once the Process is unreachable a cleanup zeroes the pages Protect
+// ever made accessible — the only ones the guest or the runtime can
+// have written — and returns the mapping to the list. A sandbox's
+// lifetime is its Process's reachability: there is nothing to close.
 package vm
 
 import (
@@ -145,8 +152,11 @@ type SyscallHandler interface {
 // Process is one guest address space plus shared execution state.
 type Process struct {
 	// Mem is the flat guest memory: [0, SandboxSize) plus the guard
-	// band.
+	// band. It is mapped outside the Go heap and recycled once the
+	// Process is unreachable, so no slice of it may outlive the Process.
 	Mem []byte
+	// sandbox owns Mem's mapping and its dirty-page marks.
+	sandbox *sandbox
 	// perms holds per-page protection bits, accessed atomically so the
 	// dynamic linker can flip page protections while threads run.
 	perms []uint32
@@ -206,17 +216,16 @@ type Process struct {
 	joinable map[int64]chan int64
 }
 
-// NewProcess allocates a guest address space.
+// NewProcess allocates a guest address space, all zero.
 func NewProcess() *Process {
-	size := visa.SandboxSize + visa.GuardSize
 	p := &Process{
-		Mem:      make([]byte, size),
-		perms:    make([]uint32, size/PageSize),
-		icache:   make([]atomic.Pointer[pageCache], size/PageSize),
+		perms:    make([]uint32, sandboxPages),
+		icache:   make([]atomic.Pointer[pageCache], sandboxPages),
 		joinable: map[int64]chan int64{},
 		cancelCh: make(chan struct{}),
 	}
-	p.jit.pages = make([]atomic.Pointer[jitPage], size/PageSize)
+	p.jit.pages = make([]atomic.Pointer[jitPage], sandboxPages)
+	p.attachSandbox()
 	return p
 }
 
@@ -226,12 +235,16 @@ func NewProcess() *Process {
 // instruction cache of the affected pages — before the permission
 // flip, so no thread can fill a cache against bytes about to change,
 // and after it, so entries decoded from the old bytes cannot survive
-// the transition.
+// the transition. A page it makes accessible is marked dirty for good,
+// so the sandbox's release clears it.
 func (p *Process) Protect(addr, size int64, prot uint32) {
 	first := addr / PageSize
 	last := (addr + size + PageSize - 1) / PageSize
 	p.invalidate(first, last)
 	for pg := first; pg < last && pg < int64(len(p.perms)); pg++ {
+		if prot != 0 {
+			p.sandbox.dirty[pg].Store(true)
+		}
 		atomic.StoreUint32(&p.perms[pg], prot)
 	}
 	p.invalidate(first, last)
@@ -296,9 +309,10 @@ func (p *Process) CancelChan() <-chan struct{} { return p.cancelCh }
 // CheckStats is a lock-free snapshot of the process's MCFI
 // check-transaction counters (the serving /metrics source).
 type CheckStats struct {
-	// Execs counts fused check transactions executed (EngineFused
-	// superinstruction dispatches; the other engines retire checks as
-	// ordinary instructions and do not count here).
+	// Execs counts fused check transactions executed (superinstruction
+	// dispatches under the check-fusing engines — fused, threaded and
+	// blockjit; interp and cached retire checks as ordinary
+	// instructions and do not count here).
 	Execs int64
 	// Halts counts halted checks — CFI faults — under every engine.
 	Halts int64
