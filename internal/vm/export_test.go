@@ -2,8 +2,9 @@ package vm
 
 import "runtime"
 
-// SandboxLiveMax exports the bound on mapped but unreleased sandboxes.
-const SandboxLiveMax = sandboxLiveMax
+// SandboxHeldMin exports the floor of the held count that forces a
+// collection.
+const SandboxHeldMin = sandboxHeldMin
 
 // SettleSandboxes collects garbage and waits until the sandbox of every
 // unreachable Process has been released. It reports how many sandboxes
@@ -13,7 +14,7 @@ func SettleSandboxes() (free, held int) {
 	s := &sandboxes
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for s.releasePending() {
+	for s.reachable() < len(s.live) {
 		s.released.Wait()
 	}
 	return len(s.free), len(s.live)

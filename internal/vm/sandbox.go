@@ -5,8 +5,8 @@
 // touches rather than a 64 MiB allocation the Go runtime must zero and
 // the GC must pace itself by. Sandboxes are recycled: when a Process
 // becomes unreachable, a cleanup clears what it could have written and
-// puts the mapping on a small free list, where it keeps its resident
-// pages for the next Process. (The go1.24 constraint is for
+// puts the mapping on a free list, where it keeps its resident pages
+// for the next Process. (The go1.24 constraint is for
 // runtime.AddCleanup and package weak.)
 
 package vm
@@ -27,74 +27,94 @@ const (
 	sandboxBytes = visa.SandboxSize + visa.GuardSize
 	sandboxPages = sandboxBytes / PageSize
 
-	// sandboxFreeMax caps the free list; a released sandbox that does
-	// not fit is unmapped.
-	sandboxFreeMax = 4
-	// sandboxLiveMax bounds the sandboxes mapped but not yet released.
-	// The GC cannot see their memory, so it does not collect on their
-	// account; NewProcess does, once, when the free list is empty and
-	// this many are out.
-	sandboxLiveMax = 16
+	// The pool sizes itself from what it holds, as the GC paces the
+	// heap: idle sandboxes never outnumber those in use, and held ones
+	// may double between forced collections. These floors keep a
+	// program with few runtimes from churning: below sandboxFreeMin
+	// idle sandboxes nothing is unmapped, and below sandboxHeldMin held
+	// ones (1 GiB of address space, resident only where touched) no
+	// collection is forced.
+	sandboxFreeMin = 4
+	sandboxHeldMin = 16
 )
 
 // sandbox is one guest address space, mapped outside the Go heap.
 type sandbox struct {
 	mem []byte
-	// dirty marks every page Process.Protect ever gave a non-zero
-	// protection. Guest stores need ProtWrite and the runtime writes
-	// only code, data, heap and stack it has mapped, so these are the
-	// only pages that can hold non-zero bytes. Protect runs from guest
-	// mprotect syscalls and from the host's dlopen at once, hence the
-	// atomics.
+	// dirty marks every page that can hold non-zero bytes (see
+	// markDirty). Protect runs from guest mprotect syscalls and from
+	// the host's dlopen at once, hence the atomics.
 	dirty [sandboxPages]atomic.Bool
+}
+
+// markDirty records that Protect made pages [first, last) accessible.
+// Guest stores need ProtWrite and the runtime writes only code, data,
+// heap and stack it has mapped, so these pages — and the page after
+// them — are the only ones that can hold non-zero bytes. The page after
+// counts because an access is checked on its first byte only: an
+// 8-byte store at the end of the range spills into the next page,
+// whether that is unmapped heap or the guard band.
+func (sb *sandbox) markDirty(first, last int64) {
+	for pg := first; pg <= last && pg < sandboxPages; pg++ {
+		sb.dirty[pg].Store(true)
+	}
 }
 
 type sandboxPool struct {
 	mu sync.Mutex
 	// released is signalled whenever a sandbox leaves live.
 	released sync.Cond
-	free     []*sandbox
+	// free holds released sandboxes, zeroed; at most
+	// max(sandboxFreeMin, len(live)) of them.
+	free []*sandbox
 	// live maps every sandbox a Process has taken and not yet released
 	// to that Process, weakly: a nil pointer means the Process is gone
-	// and its cleanup is pending.
+	// and its release is pending.
 	live map[*sandbox]weak.Pointer[Process]
+	// collectAt is how many live sandboxes make NewProcess, finding
+	// the free list empty, force a collection before mapping another.
+	// Each forced collection sets it to twice the number of Processes
+	// it left reachable, and each release lowers it to twice the number
+	// still live if that is fewer; it never drops below sandboxHeldMin.
+	// Processes that stay reachable so raise it rather than force a
+	// collection on every NewProcess.
+	collectAt int
 }
 
-var sandboxes sandboxPool
-
-func init() {
-	sandboxes.released.L = &sandboxes.mu
-	sandboxes.live = map[*sandbox]weak.Pointer[Process]{}
+var sandboxes = sandboxPool{
+	live:      map[*sandbox]weak.Pointer[Process]{},
+	collectAt: sandboxHeldMin,
 }
+
+func init() { sandboxes.released.L = &sandboxes.mu }
 
 // attachSandbox gives p a zeroed guest address space and arranges for
 // it to be released once p is unreachable.
 func (p *Process) attachSandbox() {
 	sb := acquireSandbox(p)
 	p.sandbox, p.Mem = sb, sb.mem
-	runtime.AddCleanup(p, releaseSandbox, sb)
+	// Cleanups share one goroutine with every other cleanup and
+	// finalizer in the program; scrubbing can take milliseconds, so it
+	// runs on its own.
+	runtime.AddCleanup(p, func(sb *sandbox) { go releaseSandbox(sb) }, sb)
 }
 
 func acquireSandbox(p *Process) *sandbox {
 	s := &sandboxes
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	collected := false
-	for len(s.free) == 0 && len(s.live) >= sandboxLiveMax {
-		if !collected {
-			// Unreachable Processes still hold their sandboxes until a
-			// GC finds them; runtime.GC returns once it has queued
-			// their cleanups.
-			s.mu.Unlock()
-			runtime.GC()
-			s.mu.Lock()
-			collected = true
-			continue
+	if len(s.free) == 0 && len(s.live) >= s.collectAt {
+		// The GC cannot see sandboxes, so it does not collect on their
+		// account: unreachable Processes hold theirs until a collection
+		// finds them. runtime.GC returns once it has queued their
+		// cleanups; wait for the first release it brings, if any.
+		s.mu.Unlock()
+		runtime.GC()
+		s.mu.Lock()
+		for len(s.free) == 0 && s.reachable() < len(s.live) {
+			s.released.Wait()
 		}
-		if !s.releasePending() {
-			break
-		}
-		s.released.Wait()
+		s.collectAt = max(sandboxHeldMin, 2*s.reachable())
 	}
 	var sb *sandbox
 	if n := len(s.free); n > 0 {
@@ -113,19 +133,22 @@ func acquireSandbox(p *Process) *sandbox {
 	return sb
 }
 
-// releasePending reports whether some live sandbox's Process is gone,
-// so its cleanup is queued and will signal released. Caller holds mu.
-func (s *sandboxPool) releasePending() bool {
+// reachable counts the live sandboxes whose Process is still reachable;
+// the release of each of the others is queued and will signal
+// released. Caller holds mu.
+func (s *sandboxPool) reachable() int {
+	n := 0
 	for _, owner := range s.live {
-		if owner.Value() == nil {
-			return true
+		if owner.Value() != nil {
+			n++
 		}
 	}
-	return false
+	return n
 }
 
-// releaseSandbox is the cleanup of a Process: it zeroes every page the
-// Process could have dirtied, then recycles or unmaps the sandbox.
+// releaseSandbox runs once a Process is unreachable: it zeroes every
+// page the Process could have dirtied, then puts the sandbox on the
+// free list, unmapping whatever the list no longer has room for.
 func releaseSandbox(sb *sandbox) {
 	var zero [PageSize]byte
 	for pg := range sb.dirty {
@@ -133,8 +156,8 @@ func releaseSandbox(sb *sandbox) {
 			continue
 		}
 		sb.dirty[pg].Store(false)
-		// Most protected pages were never written; comparing first
-		// leaves them unwritten, so they cost no resident memory.
+		// Most marked pages were never written; comparing first leaves
+		// them unwritten, so they cost no resident memory.
 		page := sb.mem[pg*PageSize : (pg+1)*PageSize]
 		if !bytes.Equal(page, zero[:]) {
 			clear(page)
@@ -143,13 +166,17 @@ func releaseSandbox(sb *sandbox) {
 	s := &sandboxes
 	s.mu.Lock()
 	delete(s.live, sb)
-	keep := len(s.free) < sandboxFreeMax
-	if keep {
-		s.free = append(s.free, sb)
+	s.collectAt = max(sandboxHeldMin, min(s.collectAt, 2*len(s.live)))
+	s.free = append(s.free, sb)
+	var unmap []*sandbox
+	if n := max(sandboxFreeMin, len(s.live)); len(s.free) > n {
+		unmap = append(unmap, s.free[n:]...)
+		clear(s.free[n:])
+		s.free = s.free[:n]
 	}
 	s.released.Broadcast()
 	s.mu.Unlock()
-	if !keep {
+	for _, sb := range unmap {
 		if err := syscall.Munmap(sb.mem); err != nil {
 			panic(fmt.Sprintf("vm: unmapping a guest sandbox: %v", err))
 		}

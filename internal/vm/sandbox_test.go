@@ -10,13 +10,17 @@ import (
 	"mcfi/internal/module"
 	"mcfi/internal/mrt"
 	"mcfi/internal/toolchain"
+	"mcfi/internal/visa"
 	"mcfi/internal/vm"
 )
 
 // The leak guest leaves non-zero bytes in every kind of page it can
 // write: static data, the sbrk heap (malloc), an mmap region whose first
 // page it then revokes, its main stack, a spawned thread's stack, and a
-// dlopened library's code and data. It prints where.
+// dlopened library's code and data. Last, two 8-byte stores spill past
+// the end of what is mapped: one at the end of a fresh mmap, which is
+// the break, into a page no Protect ever reached; and one at the top of
+// the stack region, into the guard band. It prints where.
 const (
 	leakMainSrc = `
 long global_buf[512];
@@ -43,7 +47,11 @@ int main(void) {
 	if (lib == 0) return 2;
 	long (*lf)(long) = (long (*)(long))dlsym(lib, "lib_fill");
 	lf(66);
-	printf("%ld %ld %ld %ld %ld\n", (long)local, (long)global_buf, (long)h, (long)m, tstack);
+	long brk = __sys2(SYS_MMAP, 4096, 3) + 4096;
+	*(long *)(brk - 4) = -1;
+	long *top = (long *)(67108864 - 4);
+	*top = (*top & 4294967295) | ((long)1515870810 << 32);
+	printf("%ld %ld %ld %ld %ld %ld\n", (long)local, (long)global_buf, (long)h, (long)m, tstack, brk);
 	return 0;
 }`
 	leakLibSrc = `
@@ -80,8 +88,8 @@ func runLeakGuest(t *testing.T, img *linker.Image, lib *module.Object) *byte {
 	if code, err := rt.Run(100_000_000); err != nil || code != 0 {
 		t.Fatalf("leak guest: code=%d err=%v out=%q", code, err, rt.Output())
 	}
-	var stack, data, heap, mmapped, threadStack int64
-	if _, err := fmt.Sscan(rt.Output(), &stack, &data, &heap, &mmapped, &threadStack); err != nil {
+	var stack, data, heap, mmapped, threadStack, brk int64
+	if _, err := fmt.Sscan(rt.Output(), &stack, &data, &heap, &mmapped, &threadStack, &brk); err != nil {
 		t.Fatalf("leak guest output %q: %v", rt.Output(), err)
 	}
 	libCode, _ := rt.Symbol("lib_fill")
@@ -93,10 +101,11 @@ func runLeakGuest(t *testing.T, img *linker.Image, lib *module.Object) *byte {
 		{"main stack", stack}, {"static data", data}, {"sbrk heap", heap},
 		{"revoked mmap page", mmapped}, {"thread stack", threadStack},
 		{"library code", libCode.Addr}, {"library data", libData.Addr},
+		{"spill past the break", brk}, {"spill into the guard band", visa.SandboxSize},
 	} {
 		pg := c.addr / vm.PageSize
 		if pg <= 0 || firstDirtyPage(rt.Proc.Mem[pg*vm.PageSize:(pg+1)*vm.PageSize]) < 0 {
-			t.Fatalf("the guest left its %s page (%#x) zero; the test checks nothing there", c.what, c.addr)
+			t.Fatalf("the guest left the page of its %s (%#x) zero; the test checks nothing there", c.what, c.addr)
 		}
 	}
 	return &rt.Proc.Mem[0]
@@ -136,10 +145,11 @@ func TestRecycledSandboxIsZero(t *testing.T) {
 	runtime.KeepAlive(hold)
 }
 
-// TestHeldSandboxesStayBounded creates ten times the bound's worth of
+// TestHeldSandboxesStayBounded creates ten times the floor's worth of
 // runtimes while a large live heap keeps the GC's own pacing from
-// collecting the dropped ones: NewProcess's forced collection alone must
-// keep the mapped but unreleased sandboxes within the bound.
+// collecting the dropped ones: with no Process kept reachable,
+// NewProcess's forced collections alone must keep the mapped but
+// unreleased sandboxes within the floor.
 func TestHeldSandboxesStayBounded(t *testing.T) {
 	img, err := toolchain.New(toolchain.WithInstrument(false)).Build(
 		toolchain.Source{Name: "tiny", Text: `int main(void) { return 7; }`})
@@ -148,11 +158,9 @@ func TestHeldSandboxesStayBounded(t *testing.T) {
 	}
 	ballast := make([]byte, 256<<20)
 	vm.SettleSandboxes()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	forced := ms.NumForcedGC
+	forced := forcedGCs()
 	peak := 0
-	for range 10 * vm.SandboxLiveMax {
+	for range 10 * vm.SandboxHeldMin {
 		rt, err := mrt.New(img, mrt.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -162,12 +170,35 @@ func TestHeldSandboxesStayBounded(t *testing.T) {
 		}
 		peak = max(peak, vm.HeldSandboxes())
 	}
-	runtime.ReadMemStats(&ms)
 	runtime.KeepAlive(ballast)
-	if peak > vm.SandboxLiveMax {
-		t.Errorf("%d sandboxes held at once, bound %d", peak, vm.SandboxLiveMax)
+	if peak > vm.SandboxHeldMin {
+		t.Errorf("%d sandboxes held at once, bound %d", peak, vm.SandboxHeldMin)
 	}
-	if ms.NumForcedGC == forced {
+	if forcedGCs() == forced {
 		t.Error("no collection was forced: the loop never reached the bound")
 	}
+}
+
+// TestReachableSandboxesDoNotForceEveryCollection keeps four times the
+// floor's worth of Processes reachable at once, as a wide worker pool
+// would. A forced collection frees none of them, so the held count
+// that forces the next one doubles: two collections (at 16 and 32
+// held), not one per NewProcess past the floor.
+func TestReachableSandboxesDoNotForceEveryCollection(t *testing.T) {
+	vm.SettleSandboxes()
+	forced := forcedGCs()
+	held := make([]*vm.Process, 4*vm.SandboxHeldMin)
+	for i := range held {
+		held[i] = vm.NewProcess()
+	}
+	if n := forcedGCs() - forced; n > 3 {
+		t.Errorf("%d collections forced while creating %d reachable Processes, want at most 3", n, len(held))
+	}
+	runtime.KeepAlive(held)
+}
+
+func forcedGCs() uint32 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.NumForcedGC
 }

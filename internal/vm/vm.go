@@ -23,11 +23,15 @@
 // (blockjit.go).
 //
 // Guest memory lives outside the Go heap (sandbox.go). NewProcess takes
-// an anonymous mapping from a small free list, or maps a fresh one;
-// once the Process is unreachable a cleanup zeroes the pages Protect
-// ever made accessible — the only ones the guest or the runtime can
-// have written — and returns the mapping to the list. A sandbox's
-// lifetime is its Process's reachability: there is nothing to close.
+// an anonymous mapping from a free list, or maps a fresh one; once the
+// Process is unreachable a cleanup zeroes the pages Protect ever made
+// accessible, and the page after each such range (an access is checked
+// on its first byte, so a store may spill into the next page) — the
+// only ones the guest or the runtime can have written — and returns
+// the mapping to the list. A sandbox's lifetime is its Process's
+// reachability: there is nothing to close. Being outside the heap, Mem
+// is also outside the race detector's view: -race checks the tables,
+// caches and counters, not guest-memory accesses.
 package vm
 
 import (
@@ -235,16 +239,16 @@ func NewProcess() *Process {
 // instruction cache of the affected pages — before the permission
 // flip, so no thread can fill a cache against bytes about to change,
 // and after it, so entries decoded from the old bytes cannot survive
-// the transition. A page it makes accessible is marked dirty for good,
-// so the sandbox's release clears it.
+// the transition. Pages it makes accessible are marked dirty for good,
+// so the sandbox's release clears them.
 func (p *Process) Protect(addr, size int64, prot uint32) {
 	first := addr / PageSize
 	last := (addr + size + PageSize - 1) / PageSize
 	p.invalidate(first, last)
+	if prot != 0 {
+		p.sandbox.markDirty(first, last)
+	}
 	for pg := first; pg < last && pg < int64(len(p.perms)); pg++ {
-		if prot != 0 {
-			p.sandbox.dirty[pg].Store(true)
-		}
 		atomic.StoreUint32(&p.perms[pg], prot)
 	}
 	p.invalidate(first, last)
