@@ -170,8 +170,9 @@ func main() {
 }
 
 // runDiff implements -diff: compare two snapshots and return the
-// process exit code (0 = no regression past the threshold, 1 =
-// regression, 2 = usage/IO error).
+// process exit code (0 = no regression past the threshold and no
+// instret mismatch, 1 = either, 2 = usage/IO error). Instret is
+// deterministic, so it is compared exactly whatever the threshold.
 func runDiff(args []string, thresholdPct float64) int {
 	if len(args) != 2 {
 		fmt.Fprintln(os.Stderr, "usage: mcfi-bench -diff [-threshold pct] old.json new.json")
@@ -190,14 +191,20 @@ func runDiff(args []string, thresholdPct float64) int {
 	d := experiments.DiffSnapshots(oldRecs, newRecs)
 	fmt.Printf("diff %s -> %s (threshold %.0f%%)\n", args[0], args[1], thresholdPct)
 	fmt.Print(d.Format(thresholdPct))
-	regs := d.Regressions(thresholdPct)
-	if len(regs) > 0 {
+	code := 0
+	if n := len(d.InstretDiffs); n > 0 {
+		fmt.Fprintf(os.Stderr, "mcfi-bench: %d row(s) retired a different instruction count\n", n)
+		code = 1
+	}
+	if regs := d.Regressions(thresholdPct); len(regs) > 0 {
 		fmt.Fprintf(os.Stderr, "mcfi-bench: %d experiment(s) regressed more than %.0f%%\n",
 			len(regs), thresholdPct)
-		return 1
+		code = 1
 	}
-	fmt.Printf("no regressions past %.0f%%\n", thresholdPct)
-	return 0
+	if code == 0 {
+		fmt.Printf("no regressions past %.0f%%, instret identical\n", thresholdPct)
+	}
+	return code
 }
 
 func sanity(c experiments.Config) error {

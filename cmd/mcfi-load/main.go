@@ -179,7 +179,8 @@ func appendBenchRecord(path, label string, rep *server.LoadReport) error {
 		Profile:      "serve",
 		Instrumented: true,
 		WallSecs:     rep.WallSecs,
-		Instret:      rep.GuestInstret,
+		// No Instret: the record's work is its -n job count, so a
+		// scaled-down rerun retires fewer instructions by design.
 		MinstrPerSec: rep.JobsPerSec,
 		StoreHits:    rep.StoreTiers,
 		StoreBuilds:  rep.StoreTiers["built"],

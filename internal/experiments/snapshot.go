@@ -20,6 +20,9 @@ type BenchRecord struct {
 	Profile      string  `json:"profile"`
 	Instrumented bool    `json:"instrumented"`
 	WallSecs     float64 `json:"wall_secs"`
+	// Instret is the retired-instruction count of one fixed guest run.
+	// It is deterministic, so -diff compares it exactly; a record whose
+	// work is a run parameter (a job count) leaves it out.
 	Instret      int64   `json:"instret,omitempty"`
 	MinstrPerSec float64 `json:"minstr_per_sec,omitempty"`
 	// Build-store provenance for the experiment, present only when
@@ -72,15 +75,19 @@ type BenchDelta struct {
 // DiffReport is the result of comparing two snapshots.
 type DiffReport struct {
 	Matched []BenchDelta
+	// InstretDiffs lists the matched rows where both snapshots carry an
+	// instret and the counts differ: the guest retired a different
+	// instruction stream, whatever the rates say.
+	InstretDiffs []BenchDelta
 	// OnlyOld/OnlyNew list keys present in exactly one snapshot
 	// (experiments added or removed between the two runs).
 	OnlyOld, OnlyNew []string
 }
 
-// DiffSnapshots matches rows by Key and computes per-row throughput
-// deltas. Rows without a Minstr/s figure (experiment-level wall-time
-// rows) are matched but carry no delta — wall time across machines is
-// too noisy to gate on.
+// DiffSnapshots matches rows by Key, computes per-row throughput
+// deltas, and collects instret mismatches. Rows without a Minstr/s
+// figure (experiment-level wall-time rows) are matched but carry no
+// delta — wall time across machines is too noisy to gate on.
 func DiffSnapshots(oldRecs, newRecs []BenchRecord) DiffReport {
 	oldByKey := map[string]BenchRecord{}
 	for _, r := range oldRecs {
@@ -109,6 +116,11 @@ func DiffSnapshots(oldRecs, newRecs []BenchRecord) DiffReport {
 		}
 	}
 	sort.Slice(rep.Matched, func(i, j int) bool { return rep.Matched[i].Key < rep.Matched[j].Key })
+	for _, m := range rep.Matched {
+		if m.Old.Instret > 0 && m.New.Instret > 0 && m.Old.Instret != m.New.Instret {
+			rep.InstretDiffs = append(rep.InstretDiffs, m)
+		}
+	}
 	sort.Strings(rep.OnlyOld)
 	sort.Strings(rep.OnlyNew)
 	return rep
@@ -140,6 +152,9 @@ func (d DiffReport) Format(thresholdPct float64) string {
 		}
 		fmt.Fprintf(&b, "%-40s %12.2f %12.2f %+8.2f%%%s\n",
 			m.Key, m.Old.MinstrPerSec, m.New.MinstrPerSec, m.DeltaPct, flag)
+	}
+	for _, m := range d.InstretDiffs {
+		fmt.Fprintf(&b, "%-40s instret %d -> %d  MISMATCH\n", m.Key, m.Old.Instret, m.New.Instret)
 	}
 	for _, k := range d.OnlyOld {
 		fmt.Fprintf(&b, "%-40s removed in new snapshot\n", k)

@@ -80,6 +80,35 @@ func TestRegressionsRespectThreshold(t *testing.T) {
 	}
 }
 
+// TestDiffSnapshotsFlagsInstretMismatches: every matched row whose two
+// sides both carry an instret and disagree is reported — even when its
+// rate is unchanged — while rows with an instret on one side only, or
+// none, are not.
+func TestDiffSnapshotsFlagsInstretMismatches(t *testing.T) {
+	same, drift, oneSided := rec("fig5", "same", true, 100), rec("fig5", "drift", true, 100), rec("fig5", "onesided", true, 100)
+	drifted := drift
+	drifted.Instret++
+	unset := oneSided
+	unset.Instret = 0
+	wallOnly := BenchRecord{Experiment: "fig5", Engine: "fused", Profile: "VISA-64", WallSecs: 1}
+	d := DiffSnapshots(
+		[]BenchRecord{same, drift, oneSided, wallOnly},
+		[]BenchRecord{same, drifted, unset, wallOnly})
+	if len(d.InstretDiffs) != 1 || d.InstretDiffs[0].Key != drift.Key() {
+		t.Fatalf("InstretDiffs = %+v, want only %s", d.InstretDiffs, drift.Key())
+	}
+	if m := d.InstretDiffs[0]; m.Old.Instret != drift.Instret || m.New.Instret != drifted.Instret {
+		t.Errorf("mismatch carries instret %d -> %d, want %d -> %d",
+			m.Old.Instret, m.New.Instret, drift.Instret, drifted.Instret)
+	}
+	if len(d.Regressions(0)) != 0 {
+		t.Errorf("equal rates should not regress: %+v", d.Regressions(0))
+	}
+	if out := d.Format(90); !strings.Contains(out, "MISMATCH") || !strings.Contains(out, "drift") {
+		t.Errorf("Format should flag the instret mismatch:\n%s", out)
+	}
+}
+
 // TestReadSnapshotRoundTrip reads a written snapshot back with the
 // same schema mcfi-bench emits.
 func TestReadSnapshotRoundTrip(t *testing.T) {

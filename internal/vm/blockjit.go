@@ -294,7 +294,7 @@ func (t *Thread) runBlock(b *compiledBlock) error {
 		case kLd8:
 			t.Instret += s.pending + 1
 			t.PC = s.pc
-			v, err := t.load(t.Reg[s.r2]+s.imm, 1)
+			v, err := t.load8(t.Reg[s.r2] + s.imm)
 			t.Reg[s.r1] = int64(int8(v))
 			if err != nil {
 				return err
@@ -303,8 +303,8 @@ func (t *Thread) runBlock(b *compiledBlock) error {
 		case kLd8U:
 			t.Instret += s.pending + 1
 			t.PC = s.pc
-			v, err := t.load(t.Reg[s.r2]+s.imm, 1)
-			t.Reg[s.r1] = int64(uint8(v))
+			v, err := t.load8(t.Reg[s.r2] + s.imm)
+			t.Reg[s.r1] = int64(v)
 			if err != nil {
 				return err
 			}
@@ -312,7 +312,7 @@ func (t *Thread) runBlock(b *compiledBlock) error {
 		case kLd16:
 			t.Instret += s.pending + 1
 			t.PC = s.pc
-			v, err := t.load(t.Reg[s.r2]+s.imm, 2)
+			v, err := t.load16(t.Reg[s.r2] + s.imm)
 			t.Reg[s.r1] = int64(int16(v))
 			if err != nil {
 				return err
@@ -321,8 +321,8 @@ func (t *Thread) runBlock(b *compiledBlock) error {
 		case kLd16U:
 			t.Instret += s.pending + 1
 			t.PC = s.pc
-			v, err := t.load(t.Reg[s.r2]+s.imm, 2)
-			t.Reg[s.r1] = int64(uint16(v))
+			v, err := t.load16(t.Reg[s.r2] + s.imm)
+			t.Reg[s.r1] = int64(v)
 			if err != nil {
 				return err
 			}
@@ -330,7 +330,7 @@ func (t *Thread) runBlock(b *compiledBlock) error {
 		case kLd32:
 			t.Instret += s.pending + 1
 			t.PC = s.pc
-			v, err := t.load(t.Reg[s.r2]+s.imm, 4)
+			v, err := t.load32(t.Reg[s.r2] + s.imm)
 			t.Reg[s.r1] = int64(int32(v))
 			if err != nil {
 				return err
@@ -339,8 +339,8 @@ func (t *Thread) runBlock(b *compiledBlock) error {
 		case kLd32U:
 			t.Instret += s.pending + 1
 			t.PC = s.pc
-			v, err := t.load(t.Reg[s.r2]+s.imm, 4)
-			t.Reg[s.r1] = int64(uint32(v))
+			v, err := t.load32(t.Reg[s.r2] + s.imm)
+			t.Reg[s.r1] = int64(v)
 			if err != nil {
 				return err
 			}
@@ -348,7 +348,7 @@ func (t *Thread) runBlock(b *compiledBlock) error {
 		case kLd64:
 			t.Instret += s.pending + 1
 			t.PC = s.pc
-			v, err := t.load(t.Reg[s.r2]+s.imm, 8)
+			v, err := t.load64(t.Reg[s.r2] + s.imm)
 			t.Reg[s.r1] = int64(v)
 			if err != nil {
 				return err
@@ -357,28 +357,28 @@ func (t *Thread) runBlock(b *compiledBlock) error {
 		case kSt8:
 			t.Instret += s.pending + 1
 			t.PC = s.pc
-			if err := t.store(t.Reg[s.r2]+s.imm, 1, uint64(t.Reg[s.r1])); err != nil {
+			if err := t.store8(t.Reg[s.r2]+s.imm, uint8(t.Reg[s.r1])); err != nil {
 				return err
 			}
 			t.PC = s.next
 		case kSt16:
 			t.Instret += s.pending + 1
 			t.PC = s.pc
-			if err := t.store(t.Reg[s.r2]+s.imm, 2, uint64(t.Reg[s.r1])); err != nil {
+			if err := t.store16(t.Reg[s.r2]+s.imm, uint16(t.Reg[s.r1])); err != nil {
 				return err
 			}
 			t.PC = s.next
 		case kSt32:
 			t.Instret += s.pending + 1
 			t.PC = s.pc
-			if err := t.store(t.Reg[s.r2]+s.imm, 4, uint64(t.Reg[s.r1])); err != nil {
+			if err := t.store32(t.Reg[s.r2]+s.imm, uint32(t.Reg[s.r1])); err != nil {
 				return err
 			}
 			t.PC = s.next
 		case kSt64:
 			t.Instret += s.pending + 1
 			t.PC = s.pc
-			if err := t.store(t.Reg[s.r2]+s.imm, 8, uint64(t.Reg[s.r1])); err != nil {
+			if err := t.store64(t.Reg[s.r2]+s.imm, uint64(t.Reg[s.r1])); err != nil {
 				return err
 			}
 			t.PC = s.next

@@ -465,7 +465,7 @@ func (t *Thread) stepFusedPLT(pc int64, ins *visa.Instr) error {
 		// still retires.
 		t.Instret++
 		t.PC = pc + rewrite.PLTCheckLoadOffset
-		v, err := t.load(gotAddr, 8)
+		v, err := t.load64(gotAddr)
 		// Like Step's load handlers, the destination is clobbered with
 		// the (zero) loaded value even when the load faults.
 		r[visa.R11] = int64(v)

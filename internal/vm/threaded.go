@@ -98,7 +98,7 @@ func init() {
 	// error check, so a faulting load clobbers it with zero.
 	f(visa.LD8, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++
-		v, err := t.load(t.Reg[ins.R2]+ins.Imm, 1)
+		v, err := t.load8(t.Reg[ins.R2] + ins.Imm)
 		t.Reg[ins.R1] = int64(int8(v))
 		if err != nil {
 			return err
@@ -108,8 +108,8 @@ func init() {
 	})
 	f(visa.LD8U, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++
-		v, err := t.load(t.Reg[ins.R2]+ins.Imm, 1)
-		t.Reg[ins.R1] = int64(uint8(v))
+		v, err := t.load8(t.Reg[ins.R2] + ins.Imm)
+		t.Reg[ins.R1] = int64(v)
 		if err != nil {
 			return err
 		}
@@ -118,7 +118,7 @@ func init() {
 	})
 	f(visa.LD16, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++
-		v, err := t.load(t.Reg[ins.R2]+ins.Imm, 2)
+		v, err := t.load16(t.Reg[ins.R2] + ins.Imm)
 		t.Reg[ins.R1] = int64(int16(v))
 		if err != nil {
 			return err
@@ -128,8 +128,8 @@ func init() {
 	})
 	f(visa.LD16U, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++
-		v, err := t.load(t.Reg[ins.R2]+ins.Imm, 2)
-		t.Reg[ins.R1] = int64(uint16(v))
+		v, err := t.load16(t.Reg[ins.R2] + ins.Imm)
+		t.Reg[ins.R1] = int64(v)
 		if err != nil {
 			return err
 		}
@@ -138,7 +138,7 @@ func init() {
 	})
 	f(visa.LD32, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++
-		v, err := t.load(t.Reg[ins.R2]+ins.Imm, 4)
+		v, err := t.load32(t.Reg[ins.R2] + ins.Imm)
 		t.Reg[ins.R1] = int64(int32(v))
 		if err != nil {
 			return err
@@ -148,8 +148,8 @@ func init() {
 	})
 	f(visa.LD32U, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++
-		v, err := t.load(t.Reg[ins.R2]+ins.Imm, 4)
-		t.Reg[ins.R1] = int64(uint32(v))
+		v, err := t.load32(t.Reg[ins.R2] + ins.Imm)
+		t.Reg[ins.R1] = int64(v)
 		if err != nil {
 			return err
 		}
@@ -158,7 +158,7 @@ func init() {
 	})
 	f(visa.LD64, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++
-		v, err := t.load(t.Reg[ins.R2]+ins.Imm, 8)
+		v, err := t.load64(t.Reg[ins.R2] + ins.Imm)
 		t.Reg[ins.R1] = int64(v)
 		if err != nil {
 			return err
@@ -168,20 +168,38 @@ func init() {
 	})
 
 	// Stores.
-	st := func(op visa.Op, sz int) {
-		f(op, func(t *Thread, ins *visa.Instr, pc, next int64) error {
-			t.Instret++
-			if err := t.store(t.Reg[ins.R2]+ins.Imm, sz, uint64(t.Reg[ins.R1])); err != nil {
-				return err
-			}
-			t.PC = next
-			return nil
-		})
-	}
-	st(visa.ST8, 1)
-	st(visa.ST16, 2)
-	st(visa.ST32, 4)
-	st(visa.ST64, 8)
+	f(visa.ST8, func(t *Thread, ins *visa.Instr, pc, next int64) error {
+		t.Instret++
+		if err := t.store8(t.Reg[ins.R2]+ins.Imm, uint8(t.Reg[ins.R1])); err != nil {
+			return err
+		}
+		t.PC = next
+		return nil
+	})
+	f(visa.ST16, func(t *Thread, ins *visa.Instr, pc, next int64) error {
+		t.Instret++
+		if err := t.store16(t.Reg[ins.R2]+ins.Imm, uint16(t.Reg[ins.R1])); err != nil {
+			return err
+		}
+		t.PC = next
+		return nil
+	})
+	f(visa.ST32, func(t *Thread, ins *visa.Instr, pc, next int64) error {
+		t.Instret++
+		if err := t.store32(t.Reg[ins.R2]+ins.Imm, uint32(t.Reg[ins.R1])); err != nil {
+			return err
+		}
+		t.PC = next
+		return nil
+	})
+	f(visa.ST64, func(t *Thread, ins *visa.Instr, pc, next int64) error {
+		t.Instret++
+		if err := t.store64(t.Reg[ins.R2]+ins.Imm, uint64(t.Reg[ins.R1])); err != nil {
+			return err
+		}
+		t.PC = next
+		return nil
+	})
 
 	// Integer ALU.
 	f(visa.ADD, func(t *Thread, ins *visa.Instr, pc, next int64) error {
@@ -525,13 +543,13 @@ func init() {
 	f(visa.SETJ, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++
 		env := t.Reg[ins.R1]
-		if err := t.store(env, 8, uint64(t.Reg[visa.SP])); err != nil {
+		if err := t.store64(env, uint64(t.Reg[visa.SP])); err != nil {
 			return err
 		}
-		if err := t.store(env+8, 8, uint64(t.Reg[visa.FP])); err != nil {
+		if err := t.store64(env+8, uint64(t.Reg[visa.FP])); err != nil {
 			return err
 		}
-		if err := t.store(env+16, 8, uint64(next)); err != nil {
+		if err := t.store64(env+16, uint64(next)); err != nil {
 			return err
 		}
 		t.Reg[visa.R0] = 0
@@ -671,7 +689,19 @@ func (t *Thread) stepTraceMaskStore(ins *visa.Instr, next int64) error {
 	r[ins.R1] &= visa.StoreMask
 	t.Instret++
 	t.PC = next - storeInsSize
-	if err := t.store(r[ins.R1]+ins.Imm, int(ins.R3), uint64(r[ins.R2])); err != nil {
+	addr, v := r[ins.R1]+ins.Imm, r[ins.R2]
+	var err error
+	switch ins.R3 {
+	case 1:
+		err = t.store8(addr, uint8(v))
+	case 2:
+		err = t.store16(addr, uint16(v))
+	case 4:
+		err = t.store32(addr, uint32(v))
+	default: // 8
+		err = t.store64(addr, uint64(v))
+	}
+	if err != nil {
 		return err
 	}
 	t.PC = next

@@ -22,6 +22,13 @@
 // compiles hot straight-line blocks into traces of pre-bound steps
 // (blockjit.go).
 //
+// Every engine reaches guest memory through one accessor per width and
+// direction (load8 … store64), with one contract: the range check
+// covers the whole access against len(Mem); protection is checked on
+// the first byte's page only, so an access may spill into the next
+// page; a faulting load zeroes its destination register; and the access
+// retires before it can fault.
+//
 // Guest memory lives outside the Go heap (sandbox.go). NewProcess takes
 // an anonymous mapping from a free list, or maps a fresh one; once the
 // Process is unreachable a cleanup zeroes the pages Protect ever made
@@ -35,6 +42,7 @@
 package vm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -488,65 +496,101 @@ func (t *Thread) classifyHalt() (CheckKind, int64) {
 	return CheckDirect, 0
 }
 
-// memRange validates [addr, addr+n) and required protection.
-func (t *Thread) memCheck(addr int64, n int64, prot uint32) error {
+// Guest memory accessors, one per width (the contract is in the package
+// doc). Each has a single fast path: one unsigned compare that puts the
+// whole access inside Mem (it also rejects a negative addr), one atomic
+// load of the first byte's page protection, then a little-endian get
+// or put. Anything else is a fault, built by memFault.
+
+func (t *Thread) load8(addr int64) (uint8, error) {
+	p := t.P
+	if uint64(addr) <= uint64(len(p.Mem)-1) && atomic.LoadUint32(&p.perms[uint64(addr)/PageSize])&visa.ProtRead != 0 {
+		return p.Mem[addr], nil
+	}
+	return 0, t.memFault(addr, 1, visa.ProtRead)
+}
+
+func (t *Thread) load16(addr int64) (uint16, error) {
+	p := t.P
+	if uint64(addr) <= uint64(len(p.Mem)-2) && atomic.LoadUint32(&p.perms[uint64(addr)/PageSize])&visa.ProtRead != 0 {
+		return binary.LittleEndian.Uint16(p.Mem[addr:]), nil
+	}
+	return 0, t.memFault(addr, 2, visa.ProtRead)
+}
+
+func (t *Thread) load32(addr int64) (uint32, error) {
+	p := t.P
+	if uint64(addr) <= uint64(len(p.Mem)-4) && atomic.LoadUint32(&p.perms[uint64(addr)/PageSize])&visa.ProtRead != 0 {
+		return binary.LittleEndian.Uint32(p.Mem[addr:]), nil
+	}
+	return 0, t.memFault(addr, 4, visa.ProtRead)
+}
+
+func (t *Thread) load64(addr int64) (uint64, error) {
+	p := t.P
+	if uint64(addr) <= uint64(len(p.Mem)-8) && atomic.LoadUint32(&p.perms[uint64(addr)/PageSize])&visa.ProtRead != 0 {
+		return binary.LittleEndian.Uint64(p.Mem[addr:]), nil
+	}
+	return 0, t.memFault(addr, 8, visa.ProtRead)
+}
+
+func (t *Thread) store8(addr int64, v uint8) error {
+	p := t.P
+	if uint64(addr) <= uint64(len(p.Mem)-1) && atomic.LoadUint32(&p.perms[uint64(addr)/PageSize])&visa.ProtWrite != 0 {
+		p.Mem[addr] = v
+		return nil
+	}
+	return t.memFault(addr, 1, visa.ProtWrite)
+}
+
+func (t *Thread) store16(addr int64, v uint16) error {
+	p := t.P
+	if uint64(addr) <= uint64(len(p.Mem)-2) && atomic.LoadUint32(&p.perms[uint64(addr)/PageSize])&visa.ProtWrite != 0 {
+		binary.LittleEndian.PutUint16(p.Mem[addr:], v)
+		return nil
+	}
+	return t.memFault(addr, 2, visa.ProtWrite)
+}
+
+func (t *Thread) store32(addr int64, v uint32) error {
+	p := t.P
+	if uint64(addr) <= uint64(len(p.Mem)-4) && atomic.LoadUint32(&p.perms[uint64(addr)/PageSize])&visa.ProtWrite != 0 {
+		binary.LittleEndian.PutUint32(p.Mem[addr:], v)
+		return nil
+	}
+	return t.memFault(addr, 4, visa.ProtWrite)
+}
+
+func (t *Thread) store64(addr int64, v uint64) error {
+	p := t.P
+	if uint64(addr) <= uint64(len(p.Mem)-8) && atomic.LoadUint32(&p.perms[uint64(addr)/PageSize])&visa.ProtWrite != 0 {
+		binary.LittleEndian.PutUint64(p.Mem[addr:], v)
+		return nil
+	}
+	return t.memFault(addr, 8, visa.ProtWrite)
+}
+
+// memFault is the accessors' cold path: the fault for an n-byte access
+// at addr that is out of range or whose first byte's page lacks prot.
+// Its range test is the literal addr+n form, so an access whose addr+n
+// overflows passes it and faults on protection instead (its page lies
+// past perms, so Prot reports none).
+//
+//go:noinline
+func (t *Thread) memFault(addr, n int64, prot uint32) error {
 	if addr < 0 || addr+n > int64(len(t.P.Mem)) {
 		return t.fault(FaultMem, "access %#x+%d out of range", addr, n)
 	}
-	if t.P.Prot(addr)&prot == 0 {
-		return t.fault(FaultMem, "access %#x lacks prot %d", addr, prot)
-	}
-	return nil
-}
-
-func (t *Thread) load(addr int64, size int) (uint64, error) {
-	if err := t.memCheck(addr, int64(size), visa.ProtRead); err != nil {
-		return 0, err
-	}
-	var v uint64
-	m := t.P.Mem[addr:]
-	switch size {
-	case 1:
-		v = uint64(m[0])
-	case 2:
-		v = uint64(m[0]) | uint64(m[1])<<8
-	case 4:
-		v = uint64(m[0]) | uint64(m[1])<<8 | uint64(m[2])<<16 | uint64(m[3])<<24
-	case 8:
-		for i := 0; i < 8; i++ {
-			v |= uint64(m[i]) << (8 * i)
-		}
-	}
-	return v, nil
-}
-
-func (t *Thread) store(addr int64, size int, v uint64) error {
-	if err := t.memCheck(addr, int64(size), visa.ProtWrite); err != nil {
-		return err
-	}
-	m := t.P.Mem[addr:]
-	switch size {
-	case 1:
-		m[0] = byte(v)
-	case 2:
-		m[0], m[1] = byte(v), byte(v>>8)
-	case 4:
-		m[0], m[1], m[2], m[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-	case 8:
-		for i := 0; i < 8; i++ {
-			m[i] = byte(v >> (8 * i))
-		}
-	}
-	return nil
+	return t.fault(FaultMem, "access %#x lacks prot %d", addr, prot)
 }
 
 func (t *Thread) push(v int64) error {
 	t.Reg[visa.SP] -= 8
-	return t.store(t.Reg[visa.SP], 8, uint64(v))
+	return t.store64(t.Reg[visa.SP], uint64(v))
 }
 
 func (t *Thread) pop() (int64, error) {
-	v, err := t.load(t.Reg[visa.SP], 8)
+	v, err := t.load64(t.Reg[visa.SP])
 	if err != nil {
 		return 0, err
 	}
@@ -725,50 +769,64 @@ func (t *Thread) Step() error {
 		r[ins.R1] = ins.Imm
 	case visa.MOV:
 		r[ins.R1] = r[ins.R2]
-	case visa.LD8, visa.LD16, visa.LD32, visa.LD64, visa.LD8U, visa.LD16U, visa.LD32U:
-		var v uint64
-		var err error
-		addr := r[ins.R2] + ins.Imm
-		switch ins.Op {
-		case visa.LD8:
-			v, err = t.load(addr, 1)
-			r[ins.R1] = int64(int8(v))
-		case visa.LD8U:
-			v, err = t.load(addr, 1)
-			r[ins.R1] = int64(uint8(v))
-		case visa.LD16:
-			v, err = t.load(addr, 2)
-			r[ins.R1] = int64(int16(v))
-		case visa.LD16U:
-			v, err = t.load(addr, 2)
-			r[ins.R1] = int64(uint16(v))
-		case visa.LD32:
-			v, err = t.load(addr, 4)
-			r[ins.R1] = int64(int32(v))
-		case visa.LD32U:
-			v, err = t.load(addr, 4)
-			r[ins.R1] = int64(uint32(v))
-		case visa.LD64:
-			v, err = t.load(addr, 8)
-			r[ins.R1] = int64(v)
-		}
+	// Loads write their destination before the error check, so a
+	// faulting load clobbers it with zero.
+	case visa.LD8:
+		v, err := t.load8(r[ins.R2] + ins.Imm)
+		r[ins.R1] = int64(int8(v))
 		if err != nil {
 			return err
 		}
-	case visa.ST8, visa.ST16, visa.ST32, visa.ST64:
-		addr := r[ins.R2] + ins.Imm
-		var sz int
-		switch ins.Op {
-		case visa.ST8:
-			sz = 1
-		case visa.ST16:
-			sz = 2
-		case visa.ST32:
-			sz = 4
-		case visa.ST64:
-			sz = 8
+	case visa.LD8U:
+		v, err := t.load8(r[ins.R2] + ins.Imm)
+		r[ins.R1] = int64(v)
+		if err != nil {
+			return err
 		}
-		if err := t.store(addr, sz, uint64(r[ins.R1])); err != nil {
+	case visa.LD16:
+		v, err := t.load16(r[ins.R2] + ins.Imm)
+		r[ins.R1] = int64(int16(v))
+		if err != nil {
+			return err
+		}
+	case visa.LD16U:
+		v, err := t.load16(r[ins.R2] + ins.Imm)
+		r[ins.R1] = int64(v)
+		if err != nil {
+			return err
+		}
+	case visa.LD32:
+		v, err := t.load32(r[ins.R2] + ins.Imm)
+		r[ins.R1] = int64(int32(v))
+		if err != nil {
+			return err
+		}
+	case visa.LD32U:
+		v, err := t.load32(r[ins.R2] + ins.Imm)
+		r[ins.R1] = int64(v)
+		if err != nil {
+			return err
+		}
+	case visa.LD64:
+		v, err := t.load64(r[ins.R2] + ins.Imm)
+		r[ins.R1] = int64(v)
+		if err != nil {
+			return err
+		}
+	case visa.ST8:
+		if err := t.store8(r[ins.R2]+ins.Imm, uint8(r[ins.R1])); err != nil {
+			return err
+		}
+	case visa.ST16:
+		if err := t.store16(r[ins.R2]+ins.Imm, uint16(r[ins.R1])); err != nil {
+			return err
+		}
+	case visa.ST32:
+		if err := t.store32(r[ins.R2]+ins.Imm, uint32(r[ins.R1])); err != nil {
+			return err
+		}
+	case visa.ST64:
+		if err := t.store64(r[ins.R2]+ins.Imm, uint64(r[ins.R1])); err != nil {
 			return err
 		}
 	case visa.ADD:
@@ -926,13 +984,13 @@ func (t *Thread) Step() error {
 		r[ins.R1] = int64(t.P.Tables.Load32(ins.Imm))
 	case visa.SETJ:
 		env := r[ins.R1]
-		if err := t.store(env, 8, uint64(t.Reg[visa.SP])); err != nil {
+		if err := t.store64(env, uint64(t.Reg[visa.SP])); err != nil {
 			return err
 		}
-		if err := t.store(env+8, 8, uint64(t.Reg[visa.FP])); err != nil {
+		if err := t.store64(env+8, uint64(t.Reg[visa.FP])); err != nil {
 			return err
 		}
-		if err := t.store(env+16, 8, uint64(next)); err != nil {
+		if err := t.store64(env+16, uint64(next)); err != nil {
 			return err
 		}
 		r[visa.R0] = 0
