@@ -10,6 +10,7 @@ package mcfi
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -357,31 +358,11 @@ func BenchmarkVMThroughput(b *testing.B) {
 	}
 }
 
-// --- execution engines: decode-every-instruction interpreter vs the
-// predecoded per-page instruction cache vs direct-threaded dispatch ---
-
-func BenchmarkEngineDecodeCache(b *testing.B) {
-	img := buildFor(b, "sjeng", true)
-	for _, e := range []vm.Engine{vm.EngineInterp, vm.EngineCached, vm.EngineThreaded} {
-		b.Run(e.String(), func(b *testing.B) {
-			total := int64(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				total += runImageOpts(b, img, mrt.Options{Engine: e}, nil)
-			}
-			b.StopTimer()
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(total)/secs/1e6, "Minstr/s")
-			}
-		})
-	}
-}
-
 // --- check-transaction fusion: every engine on the Fig. 5 sjeng
-// harness, instrumented (where fusion collapses every check into one
-// host dispatch, and the threaded engine additionally folds the
-// following indirect branch) and baseline (where fused degenerates to
-// cached — the fusion lookup must not tax uninstrumented code) ---
+// harness, instrumented (where threaded and blockjit collapse every
+// check into one host dispatch and fold the following indirect branch)
+// and baseline (where the fusion lookup must not tax uninstrumented
+// code) ---
 
 func BenchmarkCheckFusion(b *testing.B) {
 	for _, flavor := range []struct {
@@ -389,7 +370,7 @@ func BenchmarkCheckFusion(b *testing.B) {
 		instrument bool
 	}{{"mcfi", true}, {"baseline", false}} {
 		img := buildFor(b, "sjeng", flavor.instrument)
-		for _, e := range []vm.Engine{vm.EngineInterp, vm.EngineCached, vm.EngineFused, vm.EngineThreaded, vm.EngineBlockJIT} {
+		for _, e := range vm.Engines() {
 			b.Run(flavor.name+"/"+e.String(), func(b *testing.B) {
 				total := int64(0)
 				b.ResetTimer()
@@ -399,6 +380,53 @@ func BenchmarkCheckFusion(b *testing.B) {
 				b.StopTimer()
 				if secs := b.Elapsed().Seconds(); secs > 0 {
 					b.ReportMetric(float64(total)/secs/1e6, "Minstr/s")
+				}
+			})
+		}
+	}
+}
+
+// --- engine choice: threaded vs blockjit, paired in one process. For
+// each Fig. 5 program and flavor: one warmup run per engine, then 11
+// pairs of mrt.New + Run, alternating which engine runs first. Reports
+// the median threaded/blockjit wall ratio (above 1 = blockjit faster)
+// with nearest-rank quartiles (EXPERIMENTS.md, "Keeping blockjit").
+// Run with -benchtime 1x. ---
+
+func BenchmarkBlockJITVsThreaded(b *testing.B) {
+	const pairs = 11
+	wall := func(img *linker.Image, e vm.Engine) float64 {
+		t0 := time.Now()
+		runImageOpts(b, img, mrt.Options{Engine: e}, nil)
+		return time.Since(t0).Seconds()
+	}
+	for _, w := range workload.All() {
+		for _, flavor := range []struct {
+			name       string
+			instrument bool
+		}{{"baseline", false}, {"mcfi", true}} {
+			img := buildFor(b, w.Name, flavor.instrument)
+			b.Run(w.Name+"/"+flavor.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					instret := runImageOpts(b, img, mrt.Options{Engine: vm.EngineThreaded}, nil)
+					wall(img, vm.EngineBlockJIT)
+					ratios := make([]float64, pairs)
+					for p := range ratios {
+						var th, bj float64
+						if p%2 == 0 {
+							th = wall(img, vm.EngineThreaded)
+							bj = wall(img, vm.EngineBlockJIT)
+						} else {
+							bj = wall(img, vm.EngineBlockJIT)
+							th = wall(img, vm.EngineThreaded)
+						}
+						ratios[p] = th / bj
+					}
+					sort.Float64s(ratios)
+					b.ReportMetric(ratios[pairs/2], "threaded/blockjit")
+					b.ReportMetric(ratios[pairs/4], "q1")
+					b.ReportMetric(ratios[3*pairs/4], "q3")
+					b.ReportMetric(float64(instret), "instret")
 				}
 			})
 		}

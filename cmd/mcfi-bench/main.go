@@ -6,7 +6,7 @@
 //	mcfi-bench -exp all
 //	mcfi-bench -exp fig5 -profile 32
 //	mcfi-bench -exp table3 -scale 1.0
-//	mcfi-bench -exp fig5 -engine fused -json BENCH_fig5.json
+//	mcfi-bench -exp fig5 -engine blockjit -json BENCH_fig5.json
 //	mcfi-bench -diff -threshold 30 old.json new.json
 //
 // Experiments: fig5, fig6, stm, space, table1, table2, table3, air,
@@ -72,7 +72,6 @@ func main() {
 	updCheckers := flag.Int("upd-checkers", 4, "updates experiment: concurrent check loops racing the storm")
 	engine := vm.EngineThreaded
 	flag.Var((*vm.EngineFlag)(&engine), "engine", vm.EngineUsage())
-	jitThreshold := flag.Int64("jit-threshold", 0, "blockjit engine: executions before a block is compiled (0 = vm default)")
 	jobs := flag.Int("jobs", 0, "worker-pool width for builds and workloads (0 = GOMAXPROCS)")
 	storeDir := flag.String("store", "", "persistent build-store directory: reuse compiled artifacts across runs")
 	jsonPath := flag.String("json", "", "write per-experiment results to this file as JSON")
@@ -85,12 +84,11 @@ func main() {
 	}
 
 	c := experiments.Config{
-		Profile:      visa.Profile64,
-		Work:         *work,
-		GenScale:     *scale,
-		Engine:       engine,
-		JITThreshold: *jitThreshold,
-		Jobs:         *jobs,
+		Profile:  visa.Profile64,
+		Work:     *work,
+		GenScale: *scale,
+		Engine:   engine,
+		Jobs:     *jobs,
 	}
 	if *profile == 32 {
 		c.Profile = visa.Profile32

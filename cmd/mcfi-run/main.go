@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	mcfi-run [-baseline] [-profile 64] [-engine cached] [-lib plugin.c]... [-max N] prog.c [more.c...]
+//	mcfi-run [-baseline] [-profile 64] [-engine interp] [-lib plugin.c]... [-max N] prog.c [more.c...]
 package main
 
 import (
@@ -36,7 +36,6 @@ func main() {
 	stats := flag.Bool("stats", false, "print instruction counts and table statistics")
 	engine := vm.EngineThreaded
 	flag.Var((*vm.EngineFlag)(&engine), "engine", vm.EngineUsage())
-	jitThreshold := flag.Int64("jit-threshold", 0, "blockjit engine: executions before a block is compiled (0 = vm default)")
 	var libs listFlag
 	flag.Var(&libs, "lib", "MiniC source compiled as a dlopen-able library (repeatable)")
 	flag.Parse()
@@ -68,7 +67,7 @@ func main() {
 		fatal(err)
 	}
 
-	opts := mrt.Options{Out: os.Stdout, Engine: engine, JITThreshold: *jitThreshold}
+	opts := mrt.Options{Out: os.Stdout, Engine: engine}
 	if b.Instrumented() {
 		opts.Verify = func(obj *module.Object) error { return verifier.Verify(obj) }
 	}

@@ -1,8 +1,7 @@
-// Differential test of the VM execution engines: the predecoded
-// per-page instruction cache, the check-fusing engine, and the
-// direct-threaded engine must be observationally identical to the
-// decode-every-instruction interpreter — same exit code, same output,
-// and a bit-identical retired-instruction count — across every
+// Differential test of the VM execution engines: the direct-threaded
+// engine and the block compiler must be observationally identical to
+// the decode-every-instruction interpreter — same exit code, same
+// output, and a bit-identical retired-instruction count — across every
 // workload, both VISA profiles, and both instrumentation flavors. The
 // engine list comes from vm.Engines(), so a newly added engine joins
 // the matrix automatically.
@@ -174,12 +173,10 @@ long ext_add(long a, long b) { return (a + b) & 0xFFFF; }
 		if interp != got {
 			t.Errorf("quiet dlopen run diverges:\n  interp: %+v\n  %s: %+v", interp, e, got)
 		}
-		if e == vm.EngineFused || e == vm.EngineThreaded {
-			// The PLT call sites must execute as fused superinstructions,
-			// not per-instruction fallback.
-			if st.PLTExecs == 0 {
-				t.Errorf("engine %s: PLTExecs = 0, want > 0 (PLT checks fell back to per-instruction)", e)
-			}
+		// The PLT call sites must execute as fused superinstructions,
+		// not per-instruction fallback.
+		if st.PLTExecs == 0 {
+			t.Errorf("engine %s: PLTExecs = 0, want > 0 (PLT checks fell back to per-instruction)", e)
 		}
 	}
 	for _, e := range vm.Engines() {
@@ -199,10 +196,8 @@ func TestEngineFlagParsing(t *testing.T) {
 		want    vm.Engine
 		wantErr bool
 	}{
-		{"cached", vm.EngineCached, false},
 		{"", vm.EngineThreaded, false}, // the default engine
 		{"interp", vm.EngineInterp, false},
-		{"fused", vm.EngineFused, false},
 		{"threaded", vm.EngineThreaded, false},
 		{"blockjit", vm.EngineBlockJIT, false},
 		{"jit", 0, true},
@@ -217,7 +212,7 @@ func TestEngineFlagParsing(t *testing.T) {
 			t.Errorf("ParseEngine(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
-	if fmt.Sprint(vm.EngineInterp, vm.EngineCached, vm.EngineFused, vm.EngineThreaded, vm.EngineBlockJIT) != "interp cached fused threaded blockjit" {
+	if fmt.Sprint(vm.Engines()) != "[interp threaded blockjit]" {
 		t.Errorf("engine names changed: %v", vm.EngineNames())
 	}
 	// The zero value — what a Process gets when SetEngine is never
@@ -234,7 +229,9 @@ func TestEngineFlagParsing(t *testing.T) {
 			t.Errorf("EngineNames entry %q does not round-trip: %v %v", name, e, err)
 		}
 	}
-	if _, err := vm.ParseEngine("jit"); err == nil || !strings.Contains(err.Error(), strings.Join(vm.EngineNames(), ", ")) {
-		t.Errorf("ParseEngine error %v does not enumerate EngineNames()", err)
+	for _, name := range []string{"jit", "cached", "fused"} {
+		if _, err := vm.ParseEngine(name); err == nil || !strings.Contains(err.Error(), strings.Join(vm.EngineNames(), ", ")) {
+			t.Errorf("ParseEngine(%q) error %v does not enumerate EngineNames()", name, err)
+		}
 	}
 }

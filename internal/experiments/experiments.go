@@ -44,9 +44,6 @@ type Config struct {
 	// Engine selects the VM execution engine for workload runs
 	// (default: the direct-threaded engine).
 	Engine vm.Engine
-	// JITThreshold sets vm.EngineBlockJIT's block-compile threshold
-	// (0 = vm.DefaultJITThreshold).
-	JITThreshold int64
 	// Jobs bounds the worker pool fanning workloads per experiment and
 	// the per-build compile concurrency (0 = GOMAXPROCS).
 	Jobs int
@@ -153,7 +150,7 @@ func MinstrPerSec(instret int64, secs float64) float64 {
 
 // runOnce executes one built image and returns retired instructions.
 func (c Config) runOnce(img *linker.Image, during func(rt *mrt.Runtime, stop <-chan struct{})) (int64, *mrt.Runtime, error) {
-	rt, err := mrt.New(img, mrt.Options{Engine: c.Engine, JITThreshold: c.JITThreshold})
+	rt, err := mrt.New(img, mrt.Options{Engine: c.Engine})
 	if err != nil {
 		return 0, nil, err
 	}

@@ -10,7 +10,7 @@ import (
 func rec(exp, bench string, instrumented bool, rate float64) BenchRecord {
 	return BenchRecord{
 		Experiment: exp, Benchmark: bench,
-		Engine: "fused", Profile: "VISA-64",
+		Engine: "threaded", Profile: "VISA-64",
 		Instrumented: instrumented,
 		WallSecs:     1, Instret: int64(rate * 1e6), MinstrPerSec: rate,
 	}
@@ -38,11 +38,11 @@ func TestDiffSnapshotsMatchesByKey(t *testing.T) {
 	for _, m := range d.Matched {
 		byKey[m.Key] = m
 	}
-	mcfi := byKey["fig5/qsort/fused/VISA-64/mcfi"]
+	mcfi := byKey["fig5/qsort/threaded/VISA-64/mcfi"]
 	if !mcfi.HasRate || mcfi.DeltaPct > -9.9 || mcfi.DeltaPct < -10.1 {
 		t.Errorf("mcfi delta = %.2f%%, want -10%%", mcfi.DeltaPct)
 	}
-	base := byKey["fig5/qsort/fused/VISA-64/baseline"]
+	base := byKey["fig5/qsort/threaded/VISA-64/baseline"]
 	if base.DeltaPct < 24.9 || base.DeltaPct > 25.1 {
 		t.Errorf("baseline delta = %.2f%%, want +25%%", base.DeltaPct)
 	}
@@ -57,7 +57,7 @@ func TestDiffSnapshotsMatchesByKey(t *testing.T) {
 // TestRegressionsRespectThreshold: only drops past the threshold
 // count, and rate-less (wall-time-only) rows never gate.
 func TestRegressionsRespectThreshold(t *testing.T) {
-	wallOnly := BenchRecord{Experiment: "table3", Engine: "fused", Profile: "VISA-64",
+	wallOnly := BenchRecord{Experiment: "table3", Engine: "threaded", Profile: "VISA-64",
 		Instrumented: true, WallSecs: 100}
 	wallOnlySlow := wallOnly
 	wallOnlySlow.WallSecs = 500
@@ -90,7 +90,7 @@ func TestDiffSnapshotsFlagsInstretMismatches(t *testing.T) {
 	drifted.Instret++
 	unset := oneSided
 	unset.Instret = 0
-	wallOnly := BenchRecord{Experiment: "fig5", Engine: "fused", Profile: "VISA-64", WallSecs: 1}
+	wallOnly := BenchRecord{Experiment: "fig5", Engine: "threaded", Profile: "VISA-64", WallSecs: 1}
 	d := DiffSnapshots(
 		[]BenchRecord{same, drift, oneSided, wallOnly},
 		[]BenchRecord{same, drifted, unset, wallOnly})
@@ -114,7 +114,7 @@ func TestDiffSnapshotsFlagsInstretMismatches(t *testing.T) {
 func TestReadSnapshotRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "snap.json")
 	blob := `[
-  {"experiment":"fig5","benchmark":"qsort","engine":"fused","profile":"VISA-64",
+  {"experiment":"fig5","benchmark":"qsort","engine":"threaded","profile":"VISA-64",
    "instrumented":true,"wall_secs":0.5,"instret":1000000,"minstr_per_sec":2.0}
 ]`
 	if err := os.WriteFile(path, []byte(blob), 0o644); err != nil {
@@ -124,7 +124,7 @@ func TestReadSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].MinstrPerSec != 2.0 || recs[0].Key() != "fig5/qsort/fused/VISA-64/mcfi" {
+	if len(recs) != 1 || recs[0].MinstrPerSec != 2.0 || recs[0].Key() != "fig5/qsort/threaded/VISA-64/mcfi" {
 		t.Errorf("round trip gave %+v", recs)
 	}
 	if _, err := ReadSnapshot(filepath.Join(t.TempDir(), "missing.json")); err == nil {

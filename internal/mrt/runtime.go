@@ -56,9 +56,6 @@ type Options struct {
 	// direct-threaded engine; vm.EngineInterp decodes every
 	// instruction).
 	Engine vm.Engine
-	// JITThreshold sets the block-compile execution threshold for
-	// vm.EngineBlockJIT (0 = vm.DefaultJITThreshold).
-	JITThreshold int64
 	// ForceFullCFG disables the incremental dlopen path: every policy
 	// change regenerates the full CFG and republishes the whole table
 	// extent. The update-throughput benchmark uses it as the baseline.
@@ -151,7 +148,6 @@ func New(img *linker.Image, opts Options) (*Runtime, error) {
 	p := r.Proc
 	p.Handler = r
 	p.SetEngine(opts.Engine)
-	p.SetJITThreshold(opts.JITThreshold)
 
 	// Load code and data.
 	if visa.CodeBase+len(img.Code) > visa.CodeBase+visa.CodeLimit {

@@ -1171,8 +1171,7 @@ func (s *Server) MetricsSnapshot() Metrics {
 // Handler returns the service mux. The surface is versioned under
 // /v1/ — POST /v1/run, POST /v1/batch, GET /v1/healthz, GET
 // /v1/metrics, and the store protocol at /v1/store/{key} (GET/HEAD/PUT
-// of sealed blobs, backed by the disk tier) — with the original
-// unversioned routes kept as aliases so existing clients keep working.
+// of sealed blobs, backed by the disk tier).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/run", s.handleRun)
@@ -1182,10 +1181,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/trace/", s.handleTrace)
 	mux.HandleFunc("/v1/audit", s.handleAudit)
 	mux.Handle("/v1/store/", s.storeHandler())
-	// Legacy (pre-/v1) aliases.
-	mux.HandleFunc("/run", s.handleRun)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/metrics", s.handleMetrics)
 	return mux
 }
 

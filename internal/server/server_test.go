@@ -308,7 +308,7 @@ func TestLoadMixedWorkloads(t *testing.T) {
 		Concurrency: 8,
 		Requests:    36, // 3 × 12 workloads → 2/3 cache hit rate
 		UseTestWork: true,
-		Engine:      "fused",
+		Engine:      "blockjit",
 		Client:      ts.Client(),
 	})
 	if err != nil {

@@ -62,10 +62,10 @@ import (
 	"mcfi/internal/visa"
 )
 
-// DefaultJITThreshold is the execution count at which a block start
-// becomes hot and is compiled. Override per process with
-// SetJITThreshold (the -jit-threshold flag).
-const DefaultJITThreshold = 64
+// defaultBlockThreshold is the execution count at which a block start
+// becomes hot and is compiled. Tests lower it per process with
+// SetJITThreshold to compile eagerly.
+const defaultBlockThreshold = 64
 
 // maxBlockSteps bounds the compiled steps of one block, so a page of
 // straight-line code cannot produce an unboundedly expensive compile
@@ -209,7 +209,7 @@ type jitState struct {
 }
 
 // SetJITThreshold sets the block-compile execution threshold for
-// EngineBlockJIT (<= 0 restores DefaultJITThreshold). Call before the
+// EngineBlockJIT (<= 0 restores the default of 64). Call before the
 // process starts executing.
 func (p *Process) SetJITThreshold(n int64) { p.jit.threshold = n }
 
@@ -639,7 +639,7 @@ func (t *Thread) runBlockJIT(maxInstr int64) error {
 	jpages := p.jit.pages
 	threshold := p.jit.threshold
 	if threshold <= 0 {
-		threshold = DefaultJITThreshold
+		threshold = defaultBlockThreshold
 	}
 	if threshold > math.MaxUint32 {
 		threshold = math.MaxUint32
@@ -778,23 +778,14 @@ func maxRetireOf(op visa.Op) int64 {
 	return 1
 }
 
-// fetchForCompile decodes the instruction at pc exactly as the
-// threaded fill path would — fused check superinstructions and trace
-// pairs included — without publishing into the icache, so compiled
-// blocks retire the identical instruction stream.
+// fetchForCompile predecodes the instruction at pc exactly as the
+// icache fill path does, without publishing into the icache.
 func (p *Process) fetchForCompile(pc int64) (visa.Instr, int, bool) {
 	if pc < 0 || pc >= int64(len(p.Mem)) || p.Prot(pc)&visa.ProtExec == 0 {
 		return visa.Instr{}, 0, false
 	}
-	if ins, n, ok := p.tryFuse(pc); ok {
-		return ins, n, true
-	}
-	ins, n, err := visa.Decode(p.Mem, int(pc))
-	if err != nil {
-		return visa.Instr{}, 0, false
-	}
-	ins, n = p.tryFuseTrace(ins, n, pc)
-	return ins, n, true
+	ins, n, err := p.predecode(pc)
+	return ins, n, err == nil
 }
 
 // compileBlock compiles the trace starting at pc into a

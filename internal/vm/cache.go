@@ -1,9 +1,10 @@
-// Predecoded execution engine: a per-executable-page instruction
-// cache. The interpreter's fetch path calls visa.Decode on raw bytes
-// at every retired instruction; for long-running workloads that is the
-// dominant cost of the stand-in CPU. The cached engine decodes each
-// instruction once into its fixed-size internal form (visa.Instr plus
-// encoded length) and dispatches from the cache thereafter.
+// Predecoded instruction cache: the fetch path of the threaded and
+// blockjit engines. The interpreter's fetch path calls visa.Decode on
+// raw bytes at every retired instruction; for long-running workloads
+// that is the dominant cost of the stand-in CPU. The cache decodes each
+// instruction once per executable-page generation into its fixed-size
+// internal form (visa.Instr, encoded length and handler) and dispatches
+// from the cache thereafter.
 //
 // Correctness hinges on precise invalidation. Code can only change
 // while its page is not executable (the W^X invariant), and every
@@ -15,9 +16,10 @@
 // drops the page immediately before it.
 //
 // Retired-instruction counts and fault behavior are bit-identical to
-// the plain interpreter: both engines feed the same decoded
-// instruction stream to the same execution switch, and the Fig. 5/6
-// cost metric is a property of that stream, not of how it is fetched.
+// the plain interpreter: every handler and superinstruction retires
+// exactly the instructions the interpreter's switch would, and the
+// Fig. 5/6 cost metric is a property of that stream, not of how it is
+// fetched.
 package vm
 
 import (
@@ -33,28 +35,19 @@ import (
 type Engine int
 
 // Engines. The zero value is the direct-threaded engine, so every
-// Process is fast by default (the ROADMAP soak criterion: mcfi-serve
-// defaulted to threaded for several PRs first); the plain interpreter
-// remains available for differential testing and as the reference
-// semantics.
+// Process is fast by default; the plain interpreter remains available
+// as the reference semantics for differential testing.
 const (
 	// EngineThreaded is the direct-threaded engine (see threaded.go):
 	// every cache slot carries the operation's func pointer alongside
-	// the predecoded instruction, so dispatch is one indirect call. It
-	// subsumes EngineFused's check fusion and adds branch folding (the
-	// jmpr/callr/jrestore after a check joins its superinstruction) and
-	// trace-level superinstructions (sandbox-mask + store pairs).
+	// the predecoded instruction, so dispatch is one indirect call.
+	// Registered check transactions are predecoded as fused
+	// superinstructions (fused.go), the jmpr/callr/jrestore after a
+	// check joins its superinstruction, and sandbox-mask + store pairs
+	// become trace superinstructions.
 	EngineThreaded Engine = iota
 	// EngineInterp decodes raw bytes at every retired instruction.
 	EngineInterp
-	// EngineCached fetches from the per-page predecoded cache.
-	EngineCached
-	// EngineFused is the cached engine plus check-transaction fusion:
-	// at decode time each registered canonical check sequence is
-	// replaced by one superinstruction executing the whole transaction
-	// in host Go (see fused.go). Retired-instruction counts stay
-	// bit-identical to the other engines.
-	EngineFused
 	// EngineBlockJIT is the threaded engine plus a profile-guided
 	// fill-time block compiler (see blockjit.go): straight-line basic
 	// blocks whose execution count crosses the JIT threshold are
@@ -64,13 +57,12 @@ const (
 	EngineBlockJIT
 )
 
-// Engines returns every engine, in engine-ladder order (the order the
-// PRs added them: reference interpreter, predecode, check fusion,
-// direct threading, block compilation). Differential tests iterate
-// this list so a newly added engine cannot silently drop out of
-// coverage.
+// Engines returns every engine: the reference interpreter, direct
+// threading, block compilation. Differential tests
+// iterate this list so a newly added engine cannot silently drop out
+// of coverage.
 func Engines() []Engine {
-	return []Engine{EngineInterp, EngineCached, EngineFused, EngineThreaded, EngineBlockJIT}
+	return []Engine{EngineInterp, EngineThreaded, EngineBlockJIT}
 }
 
 // EngineNames returns the flag names of every engine, in Engines()
@@ -91,27 +83,10 @@ func (e Engine) String() string {
 	switch e {
 	case EngineInterp:
 		return "interp"
-	case EngineCached:
-		return "cached"
-	case EngineFused:
-		return "fused"
 	case EngineBlockJIT:
 		return "blockjit"
 	}
 	return "threaded"
-}
-
-// fusesChecks reports whether the engine predecodes registered check
-// transactions into fused superinstructions at icache-fill time.
-func (e Engine) fusesChecks() bool {
-	return e == EngineFused || e == EngineThreaded || e == EngineBlockJIT
-}
-
-// foldsBranches reports whether the engine folds the indirect branch
-// after a check (and trace superinstructions) into its cache slots —
-// the threaded fill path, which the block compiler builds on.
-func (e Engine) foldsBranches() bool {
-	return e == EngineThreaded || e == EngineBlockJIT
 }
 
 // ParseEngine parses the -engine flag syntax.
@@ -140,60 +115,43 @@ type pageCache struct {
 }
 
 // cacheSlot colocates everything one dispatch needs — the predecoded
-// instruction, its encoded size, and the operation's func pointer (the
-// direct-threaded engine's dispatch target) — so a hit touches one
-// cache line instead of three parallel arrays. fn is filled for every
-// slot regardless of engine: it is a pure function of ins.Op, so the
-// extra store costs nothing and a page shared across engine settings
-// stays safe.
+// instruction, its encoded size, and the operation's func pointer —
+// so a hit touches one cache line instead of three parallel arrays. A
+// hit needs no Prot check: slots are filled only after the
+// executability check passes, and Protect invalidates every affected
+// page on every transition, so a valid slot implies the page has been
+// continuously executable since the fill. A slot is immutable once its
+// valid bit is published.
 type cacheSlot struct {
 	ins  visa.Instr
 	fn   stepFn
 	size uint8
 }
 
-// cacheHit returns the predecoded instruction at pc if its cache slot
-// is valid. A hit needs no Prot check: slots are filled only after the
-// executability check passes, and Protect invalidates every affected
-// page on every transition, so a valid slot implies the page has been
-// continuously executable since the fill. The returned pointer aliases
-// the cache entry, which is immutable once its valid bit is published.
-func (p *Process) cacheHit(pc int64) (*visa.Instr, int, bool) {
-	pg := pc / PageSize
-	if pc < 0 || pg >= int64(len(p.icache)) {
-		return nil, 0, false
+// predecode decodes the instruction at pc into the form the cache
+// stores: a registered, byte-verified check transaction becomes one
+// fused superinstruction (fused.go), and a sandbox-mask + store pair
+// one trace superinstruction (threaded.go). The block compiler fetches
+// through it too, so compiled blocks retire the identical stream.
+func (p *Process) predecode(pc int64) (visa.Instr, int, error) {
+	if ins, n, ok := p.tryFuse(pc); ok {
+		return ins, n, nil
 	}
-	c := p.icache[pg].Load()
-	if c == nil {
-		return nil, 0, false
+	ins, n, err := visa.Decode(p.Mem, int(pc))
+	if err != nil {
+		return ins, n, err
 	}
-	off := int(pc & (PageSize - 1))
-	if atomic.LoadUint32(&c.valid[off>>5])&(uint32(1)<<(off&31)) == 0 {
-		return nil, 0, false
-	}
-	s := &c.slots[off]
-	return &s.ins, int(s.size), true
+	ins, n = p.tryFuseTrace(ins, n, pc)
+	return ins, n, nil
 }
 
-// cacheFill decodes the instruction at pc and publishes it into the
+// cacheFill predecodes the instruction at pc and publishes it into the
 // page's cache. The caller has already checked that pc is executable.
-// Under the check-fusing engines (fused, threaded, blockjit) a
-// registered, byte-verified check transaction is predecoded as one
-// fused superinstruction instead; the branch-folding engines
-// additionally fuse sandbox-mask + store pairs into trace
-// superinstructions.
 func (p *Process) cacheFill(pc int64) (*visa.Instr, int, error) {
 	p.icacheFills.Add(1)
-	ins, n, ok := p.tryFuse(pc)
-	if !ok {
-		var err error
-		ins, n, err = visa.Decode(p.Mem, int(pc))
-		if err != nil {
-			return nil, 0, err
-		}
-		if p.engine.foldsBranches() {
-			ins, n = p.tryFuseTrace(ins, n, pc)
-		}
+	ins, n, err := p.predecode(pc)
+	if err != nil {
+		return nil, 0, err
 	}
 	slot := &p.icache[pc/PageSize]
 	c := slot.Load()

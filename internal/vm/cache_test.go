@@ -30,8 +30,8 @@ func emitProbe(imm int64) []byte {
 // a page, the page is made writable and rewritten (a JIT installing a
 // new stage), then flipped back to executable — exactly the
 // write-page-then-mprotect-to-exec cycle of examples/jitsim and the
-// dlopen path. The cached engine must never execute the stale
-// predecoded instructions.
+// dlopen path. The default engine's instruction cache must never
+// execute the stale predecoded instructions.
 func TestDecodeCacheInvalidation(t *testing.T) {
 	p := NewProcess()
 	p.Protect(visa.DataBase, 1<<16, visa.ProtRead|visa.ProtWrite)
@@ -90,9 +90,10 @@ func TestDecodeCacheInvalidationSpanningPage(t *testing.T) {
 	}
 }
 
-// TestEnginesRetireIdenticalStreams runs the same program under both
-// engines and checks the retired-instruction count and final registers
-// are bit-identical (the Fig. 5/6 metric is engine-independent).
+// TestEnginesRetireIdenticalStreams runs the same program under every
+// engine and checks the retired-instruction count and final registers
+// are bit-identical to the interpreter's (the Fig. 5/6 metric is
+// engine-independent).
 func TestEnginesRetireIdenticalStreams(t *testing.T) {
 	// A loop: R1 counts down from 100, R2 accumulates.
 	a := visa.NewAsm()
@@ -121,13 +122,14 @@ func TestEnginesRetireIdenticalStreams(t *testing.T) {
 		}
 		return th.Instret, th.Reg[visa.R2]
 	}
-	ci, cs := run(EngineCached)
 	ii, is := run(EngineInterp)
-	if ci != ii || cs != is {
-		t.Fatalf("engines diverge: cached (instret=%d sum=%d) vs interp (instret=%d sum=%d)",
-			ci, cs, ii, is)
+	if is != 5050 {
+		t.Fatalf("interp sum = %d, want 5050", is)
 	}
-	if cs != 5050 {
-		t.Fatalf("sum = %d, want 5050", cs)
+	for _, e := range Engines() {
+		if ei, es := run(e); ei != ii || es != is {
+			t.Errorf("engines diverge: %s (instret=%d sum=%d) vs interp (instret=%d sum=%d)",
+				e, ei, es, ii, is)
+		}
 	}
 }

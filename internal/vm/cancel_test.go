@@ -73,6 +73,6 @@ func TestCheckCountersFlushToProcess(t *testing.T) {
 		t.Errorf("Halts = %d, want 1", st.Halts)
 	}
 	if st.Execs != 0 || st.VerdictHits != 0 || st.VerdictMisses != 0 {
-		t.Errorf("unexpected fused counters without fused engine: %+v", st)
+		t.Errorf("unexpected fused counters without a registered check site: %+v", st)
 	}
 }

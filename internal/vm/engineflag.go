@@ -8,7 +8,7 @@ import "strings"
 // the flag help text all come from one place.
 
 // ParseEngineDefault parses an engine name, mapping the empty string
-// to def instead of EngineCached — the form servers use so "engine
+// to def instead of EngineThreaded — the form servers use so "engine
 // omitted from the request" picks the service default.
 func ParseEngineDefault(s string, def Engine) (Engine, error) {
 	if s == "" {

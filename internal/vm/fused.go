@@ -1,4 +1,4 @@
-// Check-transaction fusion: the EngineFused fetch path recognizes the
+// Check-transaction fusion: the icache fill path recognizes the
 // canonical check sequence the rewriter emits before every indirect
 // branch (paper Fig. 4 — and32; Try: tloadi, tload, cmp, je Ok; testb,
 // je Halt; cmpw, jne Try; Halt: hlt) and predecodes the whole
@@ -36,12 +36,11 @@ import (
 // never from guest bytes.
 const (
 	// opFusedCheck is the fused canonical check transaction (paper
-	// Fig. 4). Under the branch-folding engines (threaded, blockjit)
-	// the slot may also fold the indirect
-	// branch that follows the check: R1 carries the branch opcode byte
-	// (0 = unfolded — no real opcode is 0-valued-and-branching), R2 the
-	// count of alignment NOPs between check and branch, and the slot
-	// size covers the whole folded span.
+	// Fig. 4). The slot may also fold the indirect branch that follows
+	// the check: R1 carries the branch opcode byte (0 = unfolded — no
+	// real opcode is 0-valued-and-branching), R2 the count of alignment
+	// NOPs between check and branch, and the slot size covers the whole
+	// folded span.
 	opFusedCheck = visa.Op(0xF8)
 	// opFusedCheckPLT is the fused PLT-stub check: the GOT-slot-
 	// reloading retry variant of §5.2 (the stub reloads the target from
@@ -103,12 +102,13 @@ type fusedState struct {
 
 // RegisterCheckSites tells the process where canonical check
 // transactions start (absolute guest addresses of their and32 masks).
-// The fused engine may predecode each into one superinstruction; the
-// other engines ignore the registration. Safe to call while threads
-// run (the dlopen path registers freshly loaded modules). Addresses
-// already registered are skipped; addresses that do not actually hold
-// the canonical byte sequence are harmless — predecode re-verifies
-// with rewrite.MatchCheck and falls back to plain decoding.
+// The threaded and blockjit engines predecode each into one
+// superinstruction; the interpreter ignores the registration. Safe to
+// call while threads run (the dlopen path registers freshly loaded
+// modules). Addresses already registered are skipped; addresses that
+// do not actually hold the canonical byte sequence are harmless —
+// predecode re-verifies with rewrite.MatchCheck and falls back to
+// plain decoding.
 func (p *Process) RegisterCheckSites(starts []int64) {
 	f := &p.fused
 	f.mu.Lock()
@@ -181,24 +181,33 @@ func (p *Process) fusedSiteAt(pc int64) (int, *fusedSite) {
 }
 
 // tryFuse attempts to predecode the bytes at pc as one fused check
-// transaction. It requires a fusing engine (fused or threaded), live
-// tables, a registered site, an executable span, and an exact byte
-// match against one of the two check templates — the canonical
-// sequence or the PLT stub's GOT-reloading variant (per-site immediate
-// wildcards excepted). Anything else falls back to ordinary decoding,
-// so a stale or wrong registration can never change semantics.
+// transaction. It requires live tables, a registered site, an
+// executable span, and an exact byte match against one of the two
+// check templates — the canonical sequence or the PLT stub's
+// GOT-reloading variant (per-site immediate wildcards excepted).
+// Anything else falls back to ordinary decoding, so a stale or wrong
+// registration can never change semantics. A foldable indirect branch
+// right after the span joins the superinstruction.
 func (p *Process) tryFuse(pc int64) (visa.Instr, int, bool) {
-	if !p.engine.fusesChecks() || p.Tables == nil {
+	if p.Tables == nil {
 		return visa.Instr{}, 0, false
 	}
 	idx, site := p.fusedSiteAt(pc)
 	if site == nil {
 		return visa.Instr{}, 0, false
 	}
-	if ins, n, ok := p.tryFuseCanonical(pc, idx, site); ok {
-		return ins, n, true
+	ins, size, ok := p.tryFuseCanonical(pc, idx, site)
+	if !ok {
+		ins, size, ok = p.tryFusePLT(pc, idx, site)
 	}
-	return p.tryFusePLT(pc, idx, site)
+	if !ok {
+		return visa.Instr{}, 0, false
+	}
+	if bop, nops, bsize, ok := p.scanFoldableBranch(pc + int64(size)); ok {
+		ins.R1, ins.R2 = byte(bop), byte(nops)
+		size += nops + bsize
+	}
+	return ins, size, true
 }
 
 // tryFuseCanonical matches the canonical check template at pc.
@@ -213,15 +222,7 @@ func (p *Process) tryFuseCanonical(pc int64, idx int, site *fusedSite) (visa.Ins
 	m := p.Mem[pc+rewrite.CheckImmOffset:]
 	imm := uint32(m[0]) | uint32(m[1])<<8 | uint32(m[2])<<16 | uint32(m[3])<<24
 	site.baryOff.Store(int64(imm))
-	ins := visa.Instr{Op: opFusedCheck, Imm: int64(idx)}
-	size := int(rewrite.CheckSeqSize)
-	if p.engine.foldsBranches() {
-		if bop, nops, bsize, ok := p.scanFoldableBranch(end); ok {
-			ins.R1, ins.R2 = byte(bop), byte(nops)
-			size += nops + bsize
-		}
-	}
-	return ins, size, true
+	return visa.Instr{Op: opFusedCheck, Imm: int64(idx)}, int(rewrite.CheckSeqSize), true
 }
 
 // tryFusePLT matches the PLT-stub check template at pc (§5.2: the
@@ -244,15 +245,7 @@ func (p *Process) tryFusePLT(pc int64, idx int, site *fusedSite) (visa.Instr, in
 		got |= int64(g[i]) << (8 * i)
 	}
 	site.gotAddr.Store(got)
-	ins := visa.Instr{Op: opFusedCheckPLT, Imm: int64(idx)}
-	size := int(rewrite.PLTCheckSeqSize)
-	if p.engine.foldsBranches() {
-		if bop, nops, bsize, ok := p.scanFoldableBranch(end); ok {
-			ins.R1, ins.R2 = byte(bop), byte(nops)
-			size += nops + bsize
-		}
-	}
-	return ins, size, true
+	return visa.Instr{Op: opFusedCheckPLT, Imm: int64(idx)}, int(rewrite.PLTCheckSeqSize), true
 }
 
 // scanFoldableBranch inspects the bytes after a matched check span for
@@ -289,13 +282,13 @@ func (p *Process) scanFoldableBranch(start int64) (visa.Op, int, int, bool) {
 	return 0, 0, 0, false
 }
 
-// stepFused executes one fused check transaction. Step has already
-// retired the and32 (Instret++); this routine retires the rest of the
-// guest instructions the interp engine would have executed, reproducing
-// its architectural effects exactly: registers R9–R11, the comparison
-// flags, the continuation PC, and on a violation the fault PC of the
-// hlt. pc is the span start; ins is the cache slot (its R1/R2 carry a
-// folded branch, if any).
+// stepFused executes one fused check transaction. Its handler has
+// already retired the and32 (Instret++); this routine retires the rest
+// of the guest instructions the interp engine would have executed,
+// reproducing its architectural effects exactly: registers R9–R11,
+// the comparison flags, the continuation PC, and on a violation the
+// fault PC of the hlt. pc is the span start; ins is the cache slot
+// (its R1/R2 carry a folded branch, if any).
 func (t *Thread) stepFused(pc int64, ins *visa.Instr) error {
 	p := t.P
 	idx := int(ins.Imm)
@@ -377,13 +370,13 @@ func (t *Thread) stepFused(pc int64, ins *visa.Instr) error {
 }
 
 // foldedBranch completes a passed check whose slot folded the
-// following indirect branch (threaded engine). On entry t.PC is the
-// check span's end — where the interp engine would sit after je Ok —
-// and R11 holds the masked, validated target. The alignment NOPs and
-// the branch itself retire exactly as the interp engine would retire
-// them; a verdict-cache hit reaches here too, so the memoized target
-// transfers without re-decoding the branch. Slots without a fold
-// (ins.R1 == 0) return immediately.
+// following indirect branch. On entry t.PC is the check span's end —
+// where the interp engine would sit after je Ok — and R11 holds the
+// masked, validated target. The alignment NOPs and the branch itself
+// retire exactly as the interp engine would retire them; a
+// verdict-cache hit reaches here too, so the memoized target transfers
+// without re-decoding the branch. Slots without a fold (ins.R1 == 0)
+// return immediately.
 func (t *Thread) foldedBranch(ins *visa.Instr) error {
 	if ins.R1 == 0 {
 		return nil
@@ -417,10 +410,11 @@ func (t *Thread) foldedBranch(ins *visa.Instr) error {
 // stepFusedPLT executes one fused PLT-stub check transaction — the
 // GOT-slot-reloading variant (§5.2): every retry round re-executes the
 // stub's movi + ld64 so a retried transaction observes the freshest
-// GOT value, exactly as the guest loop would. Step has already retired
-// the leading movi; pc is the stub's try label (= span start). Instret
-// per round is movi, ld64, and32, then the canonical tail: pass = 7,
-// invalid-bit halt = 10, same-version halt = 12, full retry round = 11.
+// GOT value, exactly as the guest loop would. Its handler has already
+// retired the leading movi; pc is the stub's try label (= span start).
+// Instret per round is movi, ld64, and32, then the canonical tail:
+// pass = 7, invalid-bit halt = 10, same-version halt = 12, full retry
+// round = 11.
 func (t *Thread) stepFusedPLT(pc int64, ins *visa.Instr) error {
 	p := t.P
 	idx := int(ins.Imm)
@@ -457,7 +451,7 @@ func (t *Thread) stepFusedPLT(pc int64, ins *visa.Instr) error {
 
 	for retries := 0; ; retries++ {
 		if retries > 0 {
-			t.Instret++ // movi (Step covered round 0's)
+			t.Instret++ // movi (the handler covered round 0's)
 		}
 		r[visa.R11] = gotAddr // movi's architectural effect
 		// ld64 r11, [r11] — the GOT reload. It can fault like any guest
@@ -466,8 +460,8 @@ func (t *Thread) stepFusedPLT(pc int64, ins *visa.Instr) error {
 		t.Instret++
 		t.PC = pc + rewrite.PLTCheckLoadOffset
 		v, err := t.load64(gotAddr)
-		// Like Step's load handlers, the destination is clobbered with
-		// the (zero) loaded value even when the load faults.
+		// Like every load, the destination is clobbered with the
+		// (zero) loaded value even when the load faults.
 		r[visa.R11] = int64(v)
 		if err != nil {
 			return err

@@ -1,12 +1,12 @@
-// Direct-threaded dispatch engine. The cached engine still pays a
-// per-step opcode switch after its cache hit; EngineThreaded stores
-// each slot's operation func pointer alongside the predecoded
-// visa.Instr (the opFusedCheck slot-rewriting mechanism generalized to
-// every opcode), so executing one instruction is a single indirect
-// call. The engine's run loop also hoists the exit/cancel/budget
-// polling out of the per-instruction path: the inner loop runs
-// straight-line until the same 1024-retired-instruction watermark the
-// generic Run loop uses, so cancellation latency is unchanged.
+// Direct-threaded dispatch engine. Instead of decoding and switching
+// on the opcode at every step, EngineThreaded stores each slot's
+// operation func pointer alongside the predecoded visa.Instr in the
+// instruction cache (cache.go), so executing one instruction is a
+// single indirect call. The engine's run loop also hoists the
+// exit/cancel/budget polling out of the per-instruction path: the
+// inner loop runs straight-line until the same 1024-retired-instruction
+// watermark the interpreter's Run loop uses, so cancellation latency is
+// unchanged.
 //
 // On top of pointer dispatch the threaded engine fuses two sequence
 // shapes at icache-fill time:
@@ -46,7 +46,8 @@ type stepFn func(t *Thread, ins *visa.Instr, pc, next int64) error
 
 // opFuncs maps every opcode (including the fused pseudo-opcodes) to
 // its handler; unknown bytes get the decode-fault handler. Built once
-// at init, mirroring Step's switch case for case.
+// at init, mirroring Step's switch case for case; the pseudo-opcodes
+// exist only here, since Step never sees a predecoded slot.
 var opFuncs [256]stepFn
 
 // storeInsSize is the encoded size of the STx instructions (they share
@@ -582,15 +583,15 @@ func stepJcc(t *Thread, ins *visa.Instr, pc, next int64) error {
 }
 
 // runThreaded is EngineThreaded's run loop. The outer block performs
-// exactly the checks the generic Run loop does at its poll points —
-// budget, exit, cancellation, counter flush — and the inner loop then
-// executes without per-step checks until the next watermark: the same
-// 1024-retired-instruction cadence, with the budget clamped in so
-// exhaustion is detected on the precise instruction, not at the next
-// flush. The fetch is open-coded in the loop (rather than a cacheHit
-// call) because the call itself is measurable at this dispatch rate;
-// the unsigned page-index compare folds the pc<0 check into the bounds
-// check.
+// exactly the checks the interpreter's Run loop does at its poll
+// points — budget, exit, cancellation, counter flush — and the inner
+// loop then executes without per-step checks until the next
+// watermark: the same 1024-retired-instruction cadence, with the
+// budget clamped in so exhaustion is detected on the precise
+// instruction, not at the next flush. The fetch is open-coded in the
+// loop (rather than a helper call) because the call itself is
+// measurable at this dispatch rate; the unsigned page-index compare
+// folds the pc<0 check into the bounds check.
 func (t *Thread) runThreaded(maxInstr int64) error {
 	p := t.P
 	icache := p.icache

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -9,10 +10,59 @@ import (
 	"mcfi/internal/visa"
 )
 
-// threadedOutcome runs one thread to a fault/budget stop and captures
-// everything architecturally observable (the fused_test runOutcome plus
-// nothing — same struct).
-func threadedOutcome(th *Thread, err error) runOutcome {
+// checkBlob assembles one instrumented tail-jump check (movi r11,
+// target; check; jmpr r11 is left to the caller's prelude) and patches
+// branch's Bary index into the TLOADI immediate.
+func checkBlob(t *testing.T, tb *tables.Tables, branch int) ([]byte, rewrite.CheckSite) {
+	t.Helper()
+	a := visa.NewAsm()
+	site := rewrite.EmitTailJump(a, true)
+	if err := a.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	imm := uint32(tb.BaryBase() + 4*branch)
+	for i := 0; i < 4; i++ {
+		a.Code[site.TLoadIOffset+2+i] = byte(imm >> (8 * i))
+	}
+	return a.Code, site
+}
+
+// fusedGrid builds the table grid the check tests share: branch i
+// (i < 8) is in class i+1, and every 64th address from 0x1000 is a
+// target of class (k%8)+1.
+func fusedGrid(t *testing.T) *tables.Tables {
+	t.Helper()
+	const codeLimit = 1 << 16
+	tb := tables.New(codeLimit, 64)
+	tb.Update(func(addr int) int {
+		if addr >= 0x1000 && addr < 0x1000+64*64 && (addr-0x1000)%64 == 0 {
+			return (addr-0x1000)/64%8 + 1
+		}
+		return -1
+	}, func(i int) int {
+		if i < 8 {
+			return i + 1
+		}
+		return -1
+	}, tables.UpdateOpts{})
+	return tb
+}
+
+// runOutcome is everything architecturally observable about one
+// bounded run.
+type runOutcome struct {
+	faultKind FaultKind
+	faultPC   int64
+	faulted   bool
+	instret   int64
+	pc        int64
+	r9, r10   int64
+	r11       int64
+	fa, fb    int64
+}
+
+// outcomeOf captures the runOutcome of a thread stopped by err.
+func outcomeOf(th *Thread, err error) runOutcome {
 	out := runOutcome{
 		instret: th.Instret, pc: th.PC,
 		r9: th.Reg[visa.R9], r10: th.Reg[visa.R10], r11: th.Reg[visa.R11],
@@ -24,11 +74,96 @@ func threadedOutcome(th *Thread, err error) runOutcome {
 	return out
 }
 
-// TestThreadedCheckMatchesInterp is the fused grid test on the
-// threaded engine: the blob is a tail-jump check whose jmpr folds into
-// the superinstruction, so every (branch, target) outcome — pass,
-// invalid-bit halt, same-version halt — exercises the folded-branch
-// path against the interp reference.
+// spinProcess loads "L: movi r11, L; check; between...; jmpr r11" —
+// a self-targeting checked jump — at L = 0x1000 into a process on
+// engine e. Its tables let the check pass (branch 0 and target 0x1000
+// share class 1) and bump the check epoch on update, as mrt.New wires
+// them. With between empty the jmpr folds into the check's slot; any
+// instruction in between refuses the fold, so the slot ends at the hlt
+// (ins.R1 == 0). Returns the process and the absolute check start.
+func spinProcess(t *testing.T, e Engine, between ...visa.Instr) (*Process, int64) {
+	t.Helper()
+	tb := tables.New(1<<14, 8)
+	tb.Update(func(addr int) int {
+		if addr == 0x1000 {
+			return 1
+		}
+		return -1
+	}, func(i int) int {
+		if i == 0 {
+			return 1
+		}
+		return -1
+	}, tables.UpdateOpts{})
+
+	a := visa.NewAsm()
+	a.Emit(visa.Instr{Op: visa.MOVI, R1: visa.R11, Imm: 0x1000})
+	site := rewrite.EmitTailJump(a, true)
+	if err := a.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	imm := uint32(tb.BaryBase())
+	for i := 0; i < 4; i++ {
+		a.Code[site.TLoadIOffset+2+i] = byte(imm >> (8 * i))
+	}
+	code := a.Code
+	if len(between) > 0 {
+		code = code[:site.BranchOffset:site.BranchOffset]
+		for _, ins := range between {
+			code = visa.Encode(code, ins)
+		}
+		code = visa.Encode(code, visa.Instr{Op: visa.JMPR, R1: visa.R11})
+	}
+	checkStart := int64(0x1000 + site.CheckStart)
+
+	p := NewProcess()
+	p.Tables = tb
+	p.SetEngine(e)
+	tb.OnUpdate(p.BumpCheckEpoch)
+	copy(p.Mem[0x1000:], code)
+	p.Protect(0x1000, int64(len(code)), visa.ProtRead|visa.ProtExec)
+	p.RegisterCheckSites([]int64{checkStart})
+	return p, checkStart
+}
+
+// runSpin runs spinProcess's loop for budget instructions and fails
+// the test unless the budget is what stopped it.
+func runSpin(t *testing.T, e Engine, budget int64, between ...visa.Instr) (*Thread, int64) {
+	t.Helper()
+	p, checkStart := spinProcess(t, e, between...)
+	th := p.NewThread(0x1000, visa.SandboxSize-64)
+	if err := th.Run(budget); !errors.Is(err, ErrBudget) {
+		t.Fatalf("%s spin: %v, want the budget to stop it", e, err)
+	}
+	return th, checkStart
+}
+
+// unfolded is the spinProcess filler that keeps the jmpr out of the check
+// slot: it counts the loop's iterations in r1.
+var unfolded = visa.Instr{Op: visa.ADDI, R1: visa.R1, Imm: 1}
+
+// checkSlot returns the cached slot of the check transaction at pc,
+// failing the test unless it holds a fused check (either template).
+func checkSlot(t *testing.T, p *Process, pc int64) visa.Instr {
+	t.Helper()
+	if c := p.icache[pc/PageSize].Load(); c != nil {
+		if s := c.slots[pc&(PageSize-1)]; s.ins.Op == opFusedCheck || s.ins.Op == opFusedCheckPLT {
+			return s.ins
+		}
+	}
+	t.Fatalf("no fused check cached at %#x", pc)
+	return visa.Instr{}
+}
+
+// TestThreadedCheckMatchesInterp runs the same check over a grid of
+// (branch, target) pairs under the interp and threaded engines and
+// demands identical architectural outcomes: fault kind and PC, retired
+// count, continuation PC, the MCFI scratch registers, and the flags.
+// The blob is a tail-jump check whose jmpr folds into the
+// superinstruction, so every outcome — pass, invalid-bit halt,
+// same-version halt — exercises the folded-branch path. Every target
+// lands on an HLT, so passing checks terminate deterministically (at
+// the landing pad's PC) rather than by budget.
 func TestThreadedCheckMatchesInterp(t *testing.T) {
 	const codeLimit = 1 << 16
 	tb := fusedGrid(t)
@@ -49,7 +184,7 @@ func TestThreadedCheckMatchesInterp(t *testing.T) {
 		th := p.NewThread(blobAddr, visa.SandboxSize-64)
 		th.Reg[visa.R11] = int64(target)
 		err := th.Run(4096)
-		return threadedOutcome(th, err), th
+		return outcomeOf(th, err), th
 	}
 
 	targets := []int{
@@ -82,45 +217,11 @@ func TestThreadedCheckMatchesInterp(t *testing.T) {
 // after the first served from the verdict cache AND transferring
 // through the memoized folded branch.
 func TestThreadedVerdictFoldInstret(t *testing.T) {
-	mk := func() *tables.Tables {
-		tb := tables.New(1<<14, 8)
-		tb.Update(func(addr int) int {
-			if addr == 0x1000 {
-				return 1
-			}
-			return -1
-		}, func(i int) int {
-			if i == 0 {
-				return 1
-			}
-			return -1
-		}, tables.UpdateOpts{})
-		return tb
-	}
 	const iters = 1000
-	const budget = 7 * iters
-
-	run := func(e Engine) (*Thread, error) {
-		tb := mk()
-		code, checkStart := spinLoop(t, tb, 0x1000)
-		p := NewProcess()
-		p.Tables = tb
-		p.SetEngine(e)
-		copy(p.Mem[0x1000:], code)
-		p.Protect(0x1000, int64(len(code)), visa.ProtRead|visa.ProtExec)
-		p.RegisterCheckSites([]int64{checkStart})
-		th := p.NewThread(0x1000, visa.SandboxSize-64)
-		err := th.Run(budget)
-		return th, err
-	}
-
-	ith, ierr := run(EngineInterp)
-	tth, terr := run(EngineThreaded)
-	if _, ok := ierr.(*Fault); ok {
-		t.Fatalf("interp spin faulted: %v", ierr)
-	}
-	if _, ok := terr.(*Fault); ok {
-		t.Fatalf("threaded spin faulted: %v", terr)
+	ith, _ := runSpin(t, EngineInterp, 7*iters)
+	tth, checkStart := runSpin(t, EngineThreaded, 7*iters)
+	if ins := checkSlot(t, tth.P, checkStart); visa.Op(ins.R1) != visa.JMPR {
+		t.Errorf("check slot folds %#x, want jmpr", ins.R1)
 	}
 	if ith.Instret != tth.Instret {
 		t.Errorf("instret diverges: interp %d, threaded %d", ith.Instret, tth.Instret)
@@ -130,6 +231,170 @@ func TestThreadedVerdictFoldInstret(t *testing.T) {
 	}
 	if tth.FusedVerdictHits != iters-1 {
 		t.Errorf("FusedVerdictHits = %d, want %d", tth.FusedVerdictHits, iters-1)
+	}
+}
+
+// TestFusedVerdictCacheHitsAndInstret pins the verdict cache on a
+// check slot that did not fold its branch: a spinning self-checked
+// jump must serve every iteration after the first from the cache and
+// then step the branch on its own, while the retired count stays
+// bit-identical to the interp engine over the same number of loop
+// iterations.
+func TestFusedVerdictCacheHitsAndInstret(t *testing.T) {
+	// One loop iteration retires movi + and32 + (tloadi tload cmp je) +
+	// addi + jmpr = 8 instructions; budget a whole number of iterations
+	// so both engines stop at the same architectural point.
+	const iters = 1000
+	ith, _ := runSpin(t, EngineInterp, 8*iters, unfolded)
+	fth, checkStart := runSpin(t, EngineThreaded, 8*iters, unfolded)
+	if ins := checkSlot(t, fth.P, checkStart); ins.R1 != 0 {
+		t.Fatalf("check slot folds %#x, want no fold", ins.R1)
+	}
+	if ith.Instret != fth.Instret || ith.Reg[visa.R1] != iters || fth.Reg[visa.R1] != iters {
+		t.Errorf("diverges: interp instret %d r1 %d, threaded instret %d r1 %d (want r1 %d)",
+			ith.Instret, ith.Reg[visa.R1], fth.Instret, fth.Reg[visa.R1], iters)
+	}
+	if fth.FusedExecs != iters {
+		t.Errorf("FusedExecs = %d, want %d", fth.FusedExecs, iters)
+	}
+	if fth.FusedVerdictHits != iters-1 {
+		t.Errorf("FusedVerdictHits = %d, want %d (every pass after the first)",
+			fth.FusedVerdictHits, iters-1)
+	}
+	// The process-wide counters (the serving /metrics source) must
+	// agree with the thread-local ones once Run has flushed.
+	st := fth.P.CheckStatsSnapshot()
+	if st.Execs != fth.FusedExecs || st.VerdictHits != fth.FusedVerdictHits {
+		t.Errorf("process counters %+v diverge from thread (execs %d, hits %d)",
+			st, fth.FusedExecs, fth.FusedVerdictHits)
+	}
+	if st.VerdictMisses != 1 {
+		t.Errorf("VerdictMisses = %d, want 1 (only the first pass)", st.VerdictMisses)
+	}
+}
+
+// TestFusedVerdictDiesOnUpdate is the stale-verdict check: a site
+// passes and caches its verdict, then an update transaction moves the
+// branch into a different equivalence class. The next execution MUST
+// re-load the tables and halt; a verdict surviving the version bump
+// would let an old-CFG edge through the new CFG.
+func TestFusedVerdictDiesOnUpdate(t *testing.T) {
+	p, checkStart := spinProcess(t, EngineThreaded)
+	th := p.NewThread(0x1000, visa.SandboxSize-64)
+	if err := th.Run(700); err != nil {
+		if _, ok := err.(*Fault); ok {
+			t.Fatalf("priming spin faulted: %v", err)
+		}
+	}
+	if th.FusedVerdictHits == 0 {
+		t.Fatalf("no verdict hits while priming; cache not engaged")
+	}
+
+	// The branch moves to class 2; its only target stays class 1. Both
+	// now carry the same (new) version, so the check must halt.
+	p.Tables.Update(func(addr int) int {
+		if addr == 0x1000 {
+			return 1
+		}
+		return -1
+	}, func(i int) int {
+		if i == 0 {
+			return 2
+		}
+		return -1
+	}, tables.UpdateOpts{})
+
+	// Run's budget is an absolute Instret bound; extend it past the
+	// priming run's count.
+	err := th.Run(th.Instret + 700)
+	f, ok := err.(*Fault)
+	if !ok || f.Kind != FaultCFI {
+		t.Fatalf("stale verdict survived the update: err=%v (want CFI halt)", err)
+	}
+	if f.PC != checkStart+rewrite.CheckHaltOffset {
+		t.Errorf("halt PC = %#x, want %#x", f.PC, checkStart+rewrite.CheckHaltOffset)
+	}
+}
+
+// TestFusedRetriesThroughUpdate mirrors
+// TestGuestCheckRetriesThroughUpdate on a check slot that did not fold
+// its branch (TestThreadedFillInvalidateRace covers the folded one):
+// the spinning checked jump keeps passing while a host goroutine
+// re-versions the tables continuously, driving the slot's retry loop.
+// Under -race this also exercises the verdict-cache/update-transaction
+// interleavings.
+func TestFusedRetriesThroughUpdate(t *testing.T) {
+	p, checkStart := spinProcess(t, EngineThreaded, unfolded)
+	tb := p.Tables
+	th := p.NewThread(0x1000, visa.SandboxSize-64)
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				tb.Reversion(tables.UpdateOpts{})
+			}
+		}
+	}()
+	err := th.Run(300_000)
+	close(stop)
+	<-done
+	if f, ok := err.(*Fault); ok {
+		t.Fatalf("fused checked jump faulted under concurrent updates: %v", f)
+	}
+	if th.FusedExecs == 0 {
+		t.Error("fusion did not engage")
+	}
+	if ins := checkSlot(t, p, checkStart); ins.R1 != 0 {
+		t.Errorf("check slot folds %#x, want no fold", ins.R1)
+	}
+}
+
+// TestFusedFallbackOnNonCanonicalSite registers an address that does
+// not hold the canonical check sequence; predecode must re-verify the
+// bytes, refuse to fuse, and execute identically to the interp engine.
+func TestFusedFallbackOnNonCanonicalSite(t *testing.T) {
+	a := visa.NewAsm()
+	a.Emit(visa.Instr{Op: visa.MOVI, R1: visa.R1, Imm: 7})
+	a.Emit(visa.Instr{Op: visa.MOVI, R1: visa.R2, Imm: 35})
+	a.Emit(visa.Instr{Op: visa.ADD, R1: visa.R1, R2: visa.R2})
+	a.Emit(visa.Instr{Op: visa.HLT})
+	if err := a.Finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	run := func(e Engine) *Thread {
+		tb := tables.New(1<<14, 8)
+		p := NewProcess()
+		p.Tables = tb
+		p.SetEngine(e)
+		copy(p.Mem[0x1000:], a.Code)
+		p.Protect(0x1000, int64(len(a.Code)), visa.ProtRead|visa.ProtExec)
+		p.RegisterCheckSites([]int64{0x1000}) // bogus: not a check
+		th := p.NewThread(0x1000, visa.SandboxSize-64)
+		err := th.Run(100)
+		if f, ok := err.(*Fault); !ok || f.Kind != FaultCFI {
+			t.Fatalf("engine %s: want the trailing hlt, got %v", e, err)
+		}
+		return th
+	}
+
+	ith := run(EngineInterp)
+	fth := run(EngineThreaded)
+	if ith.Instret != fth.Instret || ith.Reg[visa.R1] != fth.Reg[visa.R1] {
+		t.Errorf("fallback diverges: interp (instret=%d r1=%d) threaded (instret=%d r1=%d)",
+			ith.Instret, ith.Reg[visa.R1], fth.Instret, fth.Reg[visa.R1])
+	}
+	if fth.Reg[visa.R1] != 42 {
+		t.Errorf("r1 = %d, want 42", fth.Reg[visa.R1])
+	}
+	if fth.FusedExecs != 0 {
+		t.Errorf("FusedExecs = %d, want 0 (non-canonical bytes must not fuse)", fth.FusedExecs)
 	}
 }
 
@@ -172,7 +437,7 @@ func TestThreadedFoldedCallr(t *testing.T) {
 		th := p.NewThread(blobAddr, sp)
 		th.Reg[visa.R11] = int64(target)
 		err := th.Run(4096)
-		return threadedOutcome(th, err), th, p
+		return outcomeOf(th, err), th, p
 	}
 
 	// Passing call: lands on the HLT carpet with the return address
@@ -208,11 +473,14 @@ func TestThreadedFoldedCallr(t *testing.T) {
 }
 
 // pltBlob assembles one instrumented PLT stub (GOT-reloading check +
-// jmpr) with the branch's Bary index patched in.
-func pltBlob(t *testing.T, tb *tables.Tables, branch int, gotAddr int64) []byte {
+// between... + jmpr) with the branch's Bary index patched in.
+func pltBlob(t *testing.T, tb *tables.Tables, branch int, gotAddr int64, between ...visa.Instr) []byte {
 	t.Helper()
 	a := visa.NewAsm()
 	tl := rewrite.EmitPLTCheck(a, gotAddr, true)
+	for _, ins := range between {
+		a.Emit(ins)
+	}
 	a.Emit(visa.Instr{Op: visa.JMPR, R1: visa.R11})
 	if err := a.Finish(); err != nil {
 		t.Fatal(err)
@@ -225,18 +493,21 @@ func pltBlob(t *testing.T, tb *tables.Tables, branch int, gotAddr int64) []byte 
 }
 
 // TestThreadedPLTCheckMatchesInterp runs the PLT-stub template over the
-// (branch, target) grid on the fused and threaded engines: the GOT
+// (branch, target) grid on the threaded engine: the GOT
 // slot holds the target, the stub reloads it each round, and both the
 // pass and halt paths must match interp bit-exactly — as must a GOT
 // slot on an unmapped page, whose ld64 faults mid-superinstruction.
+// Every case runs with the jmpr folded into the check slot and with an
+// instruction in between that keeps it unfolded.
 func TestThreadedPLTCheckMatchesInterp(t *testing.T) {
 	const codeLimit = 1 << 16
 	tb := fusedGrid(t)
 	const blobAddr = 0x8000
 	const gotPage = int64(0x4000)
 
+	var between []visa.Instr
 	run := func(e Engine, branch, target int, gotAddr int64) (runOutcome, *Thread) {
-		code := pltBlob(t, tb, branch, gotAddr)
+		code := pltBlob(t, tb, branch, gotAddr, between...)
 		p := NewProcess()
 		p.Tables = tb
 		p.SetEngine(e)
@@ -253,7 +524,7 @@ func TestThreadedPLTCheckMatchesInterp(t *testing.T) {
 
 		th := p.NewThread(blobAddr, visa.SandboxSize-64)
 		err := th.Run(4096)
-		return threadedOutcome(th, err), th
+		return outcomeOf(th, err), th
 	}
 
 	targets := []int{
@@ -262,30 +533,37 @@ func TestThreadedPLTCheckMatchesInterp(t *testing.T) {
 		0x1002,        // misaligned -> invalid
 		0x9000,        // outside the table
 	}
-	for _, e := range []Engine{EngineFused, EngineThreaded} {
+	for _, between = range [][]visa.Instr{nil, {unfolded}} {
+		fold := byte(visa.JMPR)
+		if between != nil {
+			fold = 0
+		}
 		for branch := 0; branch < 4; branch++ {
 			for _, target := range targets {
 				want, _ := run(EngineInterp, branch, target, gotPage)
-				got, th := run(e, branch, target, gotPage)
+				got, th := run(EngineThreaded, branch, target, gotPage)
 				if want != got {
-					t.Errorf("%s branch %d target %#x:\n  interp: %+v\n  %s: %+v",
-						e, branch, target, want, e, got)
+					t.Errorf("between %v branch %d target %#x:\n  interp:   %+v\n  threaded: %+v",
+						between, branch, target, want, got)
 				}
 				if th.FusedPLTExecs != 1 {
-					t.Errorf("%s branch %d target %#x: FusedPLTExecs = %d, want 1",
-						e, branch, target, th.FusedPLTExecs)
+					t.Errorf("between %v branch %d target %#x: FusedPLTExecs = %d, want 1",
+						between, branch, target, th.FusedPLTExecs)
+				}
+				if ins := checkSlot(t, th.P, blobAddr); ins.R1 != fold {
+					t.Errorf("between %v: check slot folds %#x, want %#x", between, ins.R1, fold)
 				}
 			}
 		}
 		// GOT slot on an unmapped page: the ld64 reload faults.
 		want, _ := run(EngineInterp, 0, 0x1000, int64(visa.SandboxSize))
-		got, _ := run(e, 0, 0x1000, int64(visa.SandboxSize))
+		got, _ := run(EngineThreaded, 0, 0x1000, int64(visa.SandboxSize))
 		if want != got {
-			t.Errorf("%s GOT fault: interp %+v != %s %+v", e, want, e, got)
+			t.Errorf("between %v GOT fault: interp %+v != threaded %+v", between, want, got)
 		}
 		if !got.faulted || got.faultKind != FaultMem || got.faultPC != blobAddr+rewrite.PLTCheckLoadOffset {
-			t.Errorf("%s GOT fault: got %+v, want memory fault at the ld64 (%#x)",
-				e, got, blobAddr+rewrite.PLTCheckLoadOffset)
+			t.Errorf("between %v GOT fault: got %+v, want memory fault at the ld64 (%#x)",
+				between, got, blobAddr+rewrite.PLTCheckLoadOffset)
 		}
 	}
 }
@@ -383,7 +661,7 @@ func TestThreadedTraceMaskStore(t *testing.T) {
 		p.Protect(0x4000, PageSize, prot)
 		th := p.NewThread(0x1000, visa.SandboxSize-64)
 		err := th.Run(64)
-		return threadedOutcome(th, err), p, th
+		return outcomeOf(th, err), p, th
 	}
 
 	for _, c := range []struct {
@@ -423,27 +701,8 @@ func TestThreadedTraceMaskStore(t *testing.T) {
 // protection transition leaves the code executable again and the
 // epoch bump only forces re-validation.
 func TestThreadedFillInvalidateRace(t *testing.T) {
-	tb := tables.New(1<<14, 8)
-	tb.Update(func(addr int) int {
-		if addr == 0x1000 {
-			return 1
-		}
-		return -1
-	}, func(i int) int {
-		if i == 0 {
-			return 1
-		}
-		return -1
-	}, tables.UpdateOpts{})
-
-	code, checkStart := spinLoop(t, tb, 0x1000)
-	p := NewProcess()
-	p.Tables = tb
-	p.SetEngine(EngineThreaded)
-	tb.OnUpdate(p.BumpCheckEpoch)
-	copy(p.Mem[0x1000:], code)
-	p.Protect(0x1000, int64(len(code)), visa.ProtRead|visa.ProtExec)
-	p.RegisterCheckSites([]int64{checkStart})
+	p, checkStart := spinProcess(t, EngineThreaded)
+	tb := p.Tables
 	th := p.NewThread(0x1000, visa.SandboxSize-64)
 
 	stop := make(chan struct{})
@@ -457,7 +716,7 @@ func TestThreadedFillInvalidateRace(t *testing.T) {
 				return
 			default:
 				// The dlopen pattern: W^X flip, register, flip back.
-				p.Protect(0x1000, int64(len(code)), visa.ProtRead|visa.ProtExec)
+				p.Protect(0x1000, PageSize, visa.ProtRead|visa.ProtExec)
 				p.RegisterCheckSites([]int64{checkStart})
 			}
 		}

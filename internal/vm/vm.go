@@ -11,13 +11,12 @@
 // is the deterministic cost metric behind the Fig. 5/6 overhead
 // experiments (extra executed instrumentation = overhead).
 //
-// The fetch engines — one per rung of the perf ladder, enumerated by
-// Engines() in cache.go — all retire the exact same instruction
-// stream, so the cost metric is engine-independent: EngineInterp
-// decodes raw bytes every step; EngineCached predecodes each
-// instruction once per executable-page generation; EngineFused adds
-// check-transaction superinstructions (fused.go); EngineThreaded, the
-// default, dispatches through per-slot func pointers with branch
+// The three engines, enumerated by Engines() in cache.go, all retire
+// the exact same instruction stream, so the cost metric is
+// engine-independent: EngineInterp decodes raw bytes every step and is
+// the reference semantics; EngineThreaded, the default, predecodes into
+// a per-page instruction cache and dispatches through per-slot func
+// pointers, with check-transaction superinstructions (fused.go), branch
 // folding and trace superinstructions (threaded.go); EngineBlockJIT
 // compiles hot straight-line blocks into traces of pre-bound steps
 // (blockjit.go).
@@ -217,7 +216,7 @@ type Process struct {
 	pltExecs    atomic.Int64
 
 	// icacheFills counts cold predecodes into the per-page instruction
-	// cache — the cache-miss side of the perf ladder, exported for
+	// cache — the cache-miss side of threaded and blockjit, exported for
 	// tracing (a first run on a replica shows a fill burst; a warm
 	// verdict-cached run shows none).
 	icacheFills atomic.Int64
@@ -322,9 +321,8 @@ func (p *Process) CancelChan() <-chan struct{} { return p.cancelCh }
 // check-transaction counters (the serving /metrics source).
 type CheckStats struct {
 	// Execs counts fused check transactions executed (superinstruction
-	// dispatches under the check-fusing engines — fused, threaded and
-	// blockjit; interp and cached retire checks as ordinary
-	// instructions and do not count here).
+	// dispatches under threaded and blockjit; interp retires checks as
+	// ordinary instructions, which do not count here).
 	Execs int64
 	// Halts counts halted checks — CFI faults — under every engine.
 	Halts int64
@@ -474,12 +472,12 @@ func (t *Thread) cfiFault(check CheckKind, target int64, format string, args ...
 }
 
 // cfiHalt classifies a plain hlt retirement by position. The
-// non-fusing engines execute check transactions as ordinary
-// instructions, so a halted check surfaces here as a hlt at a known
-// offset inside a registered site; a hlt anywhere else is a direct
-// control transfer into rewritten padding. Classification keeps the
-// Fault identical across engines (the differential tests compare
-// faults, and the audit log must not depend on the engine).
+// interpreter executes check transactions as ordinary instructions,
+// so a halted check surfaces here as a hlt at a known offset inside a
+// registered site; a hlt anywhere else is a direct control transfer
+// into rewritten padding. Classification keeps the Fault identical
+// across engines (the differential tests compare faults, and the audit
+// log must not depend on the engine).
 func (t *Thread) cfiHalt() error {
 	check, target := t.classifyHalt()
 	return t.cfiFault(check, target, "hlt")
@@ -693,6 +691,7 @@ func (t *Thread) Run(maxInstr int64) error {
 	case EngineBlockJIT:
 		return t.runBlockJIT(maxInstr)
 	}
+	// EngineInterp: step the reference interpreter.
 	poll := true
 	for {
 		if maxInstr > 0 && t.Instret >= maxInstr {
@@ -714,37 +713,18 @@ func (t *Thread) Run(maxInstr int64) error {
 	}
 }
 
-// Step executes one instruction.
+// Step executes one instruction: the interpreter. It decodes the raw
+// bytes at PC every time and is the reference the threaded handlers
+// (threaded.go) and compiled blocks are tested against, so it never
+// routes through them.
 func (t *Thread) Step() error {
 	pc := t.PC
-	var ins *visa.Instr
-	var size int
-	if t.P.engine != EngineInterp {
-		// Fast path: a valid cache entry implies the page was
-		// executable when it was filled and no protection transition
-		// has happened since (Protect invalidates on every call), so
-		// the per-step Prot check is skipped entirely.
-		var ok bool
-		ins, size, ok = t.P.cacheHit(pc)
-		if !ok {
-			if t.P.Prot(pc)&visa.ProtExec == 0 {
-				return t.fault(FaultExec, "pc %#x not executable", pc)
-			}
-			var err error
-			ins, size, err = t.P.cacheFill(pc)
-			if err != nil {
-				return t.fault(FaultDecode, "%v", err)
-			}
-		}
-	} else {
-		if t.P.Prot(pc)&visa.ProtExec == 0 {
-			return t.fault(FaultExec, "pc %#x not executable", pc)
-		}
-		i, n, err := visa.Decode(t.P.Mem, int(pc))
-		if err != nil {
-			return t.fault(FaultDecode, "%v", err)
-		}
-		ins, size = &i, n
+	if t.P.Prot(pc)&visa.ProtExec == 0 {
+		return t.fault(FaultExec, "pc %#x not executable", pc)
+	}
+	ins, size, err := visa.Decode(t.P.Mem, int(pc))
+	if err != nil {
+		return t.fault(FaultDecode, "%v", err)
 	}
 	next := pc + int64(size)
 	t.Instret++
@@ -754,17 +734,6 @@ func (t *Thread) Step() error {
 	case visa.NOP:
 	case visa.HLT:
 		return t.cfiHalt()
-	case opFusedCheck:
-		// The fused check transaction manages PC, flags, and Instret
-		// itself (Instret++ above covered its leading and32).
-		return t.stepFused(pc, ins)
-	case opFusedCheckPLT:
-		// PLT variant: Instret++ above covered the stub's leading movi.
-		return t.stepFusedPLT(pc, ins)
-	case opTraceMaskStore:
-		// Fused sandbox-mask + store pair: Instret++ above covered the
-		// andi; the handler retires and performs the store.
-		return t.stepTraceMaskStore(ins, next)
 	case visa.MOVI:
 		r[ins.R1] = ins.Imm
 	case visa.MOV:
@@ -927,13 +896,13 @@ func (t *Thread) Step() error {
 		}
 		next = t.PC
 	case visa.FADD:
-		t.fop(ins, func(a, b float64) float64 { return a + b })
+		t.fop(&ins, func(a, b float64) float64 { return a + b })
 	case visa.FSUB:
-		t.fop(ins, func(a, b float64) float64 { return a - b })
+		t.fop(&ins, func(a, b float64) float64 { return a - b })
 	case visa.FMUL:
-		t.fop(ins, func(a, b float64) float64 { return a * b })
+		t.fop(&ins, func(a, b float64) float64 { return a * b })
 	case visa.FDIV:
-		t.fop(ins, func(a, b float64) float64 { return a / b })
+		t.fop(&ins, func(a, b float64) float64 { return a / b })
 	case visa.FCMP:
 		t.ffa = math.Float64frombits(uint64(r[ins.R1]))
 		t.ffb = math.Float64frombits(uint64(r[ins.R2]))

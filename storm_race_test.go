@@ -3,16 +3,15 @@
 // transactions as fast as it can — the dynamic-linking scenario,
 // compressed. Under `go test -race` this exercises every interleaving
 // of an engine's caches with the storm: the epoch hook fires inside the
-// update lock while guest threads read it lock-free, and the bounded
-// host retry loop hands version storms back to per-instruction
-// stepping (fused); the threaded fill path publishes handlers and
-// scans folds past check spans against concurrent epoch bumps and slot
-// invalidation (threaded); blocks are compiled, dispatched
-// epoch-stamped, discarded and recompiled (blockjit, with a
-// compile-eager threshold so hot blocks are genuinely compiled). A
-// cache that survived an epoch bump would replay a stale check verdict;
-// the differential assertion against the interpreter catches exactly
-// that.
+// update lock while guest threads read it lock-free, the bounded host
+// retry loop hands version storms back to per-instruction stepping,
+// and the fill path publishes handlers and scans folds past check
+// spans against concurrent epoch bumps and slot invalidation
+// (threaded); blocks are compiled, dispatched epoch-stamped, discarded
+// and recompiled (blockjit, with a compile-eager threshold so hot
+// blocks are genuinely compiled). A cache that survived an epoch bump
+// would replay a stale check verdict; the differential assertion
+// against the interpreter catches exactly that.
 package mcfi
 
 import (
@@ -46,22 +45,21 @@ func TestEnginesUnderUpdateStorm(t *testing.T) {
 
 	for _, c := range []struct {
 		engine vm.Engine
-		opts   mrt.Options
+		// threshold is the block-compile threshold (0 = default).
+		threshold int64
 		// check asserts what only this engine's counters can show,
 		// given the runtime that ran under the storm.
 		check func(t *testing.T, img *linker.Image, storm *mrt.Runtime)
 	}{
-		{engine: vm.EngineFused},
 		{engine: vm.EngineThreaded},
-		{engine: vm.EngineBlockJIT, opts: mrt.Options{JITThreshold: 4}, check: checkBlockJITStorm},
+		{engine: vm.EngineBlockJIT, threshold: 4, check: checkBlockJITStorm},
 	} {
 		t.Run(c.engine.String(), func(t *testing.T) {
-			opts := c.opts
-			opts.Engine = c.engine
-			rt, err := mrt.New(img, opts)
+			rt, err := mrt.New(img, mrt.Options{Engine: c.engine})
 			if err != nil {
 				t.Fatal(err)
 			}
+			rt.Proc.SetJITThreshold(c.threshold)
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
 			wg.Add(1)
@@ -124,10 +122,11 @@ func checkBlockJITStorm(t *testing.T, img *linker.Image, storm *mrt.Runtime) {
 	t.Logf("storm: %d updates, %d blocks compiled, %d discarded, %d block runs / %d cold steps",
 		storm.Tables.Updates(), st.JITBlocks, st.JITDiscards, st.JITBlockRuns, st.JITColdSteps)
 
-	rtq, err := mrt.New(img, mrt.Options{Engine: vm.EngineBlockJIT, JITThreshold: 4})
+	rtq, err := mrt.New(img, mrt.Options{Engine: vm.EngineBlockJIT})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rtq.Proc.SetJITThreshold(4)
 	if _, err := rtq.Run(2_000_000_000); err != nil {
 		t.Fatal(err)
 	}
