@@ -10,6 +10,8 @@ package mcfi
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -359,8 +361,8 @@ func BenchmarkVMThroughput(b *testing.B) {
 }
 
 // --- check-transaction fusion: every engine on the Fig. 5 sjeng
-// harness, instrumented (where threaded and blockjit collapse every
-// check into one host dispatch and fold the following indirect branch)
+// harness, instrumented (where blockjit collapses every check into
+// one host dispatch and folds the following indirect branch)
 // and baseline (where the fusion lookup must not tax uninstrumented
 // code) ---
 
@@ -386,20 +388,33 @@ func BenchmarkCheckFusion(b *testing.B) {
 	}
 }
 
-// --- engine choice: threaded vs blockjit, paired in one process. For
-// each Fig. 5 program and flavor: one warmup run per engine, then 11
-// pairs of mrt.New + Run, alternating which engine runs first. Reports
-// the median threaded/blockjit wall ratio (above 1 = blockjit faster)
-// with nearest-rank quartiles (EXPERIMENTS.md, "Keeping blockjit").
-// Run with -benchtime 1x. ---
+// --- block compilation pays for itself: blockjit against blockjit
+// with compilation disabled (every instruction on the threaded
+// handlers, its cold path), paired in one process. For each Fig. 5
+// program and flavor: one warmup run per configuration, then 11 pairs
+// of mrt.New + Run, alternating which runs first, each after a
+// collection so the sandbox pool's forced collections cannot land on
+// one side of the pairs. Reports the median cold/blockjit wall ratio
+// (above 1 = compilation pays) with nearest-rank quartiles, and the
+// run's instret (EXPERIMENTS.md, "Keeping blockjit"). Run with
+// -benchtime 1x. ---
 
-func BenchmarkBlockJITVsThreaded(b *testing.B) {
+func BenchmarkBlockJITVsCold(b *testing.B) {
 	const pairs = 11
-	wall := func(img *linker.Image, e vm.Engine) float64 {
+	wall := func(img *linker.Image, threshold int64) float64 {
+		runtime.GC()
 		t0 := time.Now()
-		runImageOpts(b, img, mrt.Options{Engine: e}, nil)
+		rt, err := mrt.New(img, mrt.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rt.Proc.SetJITThreshold(threshold)
+		if code, err := rt.Run(0); err != nil || code != 0 {
+			b.Fatalf("run: code=%d err=%v", code, err)
+		}
 		return time.Since(t0).Seconds()
 	}
+	const compiled, cold = 0, math.MaxInt64
 	for _, w := range workload.All() {
 		for _, flavor := range []struct {
 			name       string
@@ -408,22 +423,22 @@ func BenchmarkBlockJITVsThreaded(b *testing.B) {
 			img := buildFor(b, w.Name, flavor.instrument)
 			b.Run(w.Name+"/"+flavor.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					instret := runImageOpts(b, img, mrt.Options{Engine: vm.EngineThreaded}, nil)
-					wall(img, vm.EngineBlockJIT)
+					instret := runImageOpts(b, img, mrt.Options{}, nil)
+					wall(img, cold)
 					ratios := make([]float64, pairs)
 					for p := range ratios {
-						var th, bj float64
+						var c, bj float64
 						if p%2 == 0 {
-							th = wall(img, vm.EngineThreaded)
-							bj = wall(img, vm.EngineBlockJIT)
+							c = wall(img, cold)
+							bj = wall(img, compiled)
 						} else {
-							bj = wall(img, vm.EngineBlockJIT)
-							th = wall(img, vm.EngineThreaded)
+							bj = wall(img, compiled)
+							c = wall(img, cold)
 						}
-						ratios[p] = th / bj
+						ratios[p] = c / bj
 					}
 					sort.Float64s(ratios)
-					b.ReportMetric(ratios[pairs/2], "threaded/blockjit")
+					b.ReportMetric(ratios[pairs/2], "cold/blockjit")
 					b.ReportMetric(ratios[pairs/4], "q1")
 					b.ReportMetric(ratios[3*pairs/4], "q3")
 					b.ReportMetric(float64(instret), "instret")

@@ -70,7 +70,7 @@ func main() {
 	hz := flag.Int("hz", 50, "update-transaction frequency for fig6")
 	updModules := flag.Int("upd-modules", 24, "updates experiment: modules in the dlopen storm")
 	updCheckers := flag.Int("upd-checkers", 4, "updates experiment: concurrent check loops racing the storm")
-	engine := vm.EngineThreaded
+	engine := vm.EngineBlockJIT
 	flag.Var((*vm.EngineFlag)(&engine), "engine", vm.EngineUsage())
 	jobs := flag.Int("jobs", 0, "worker-pool width for builds and workloads (0 = GOMAXPROCS)")
 	storeDir := flag.String("store", "", "persistent build-store directory: reuse compiled artifacts across runs")

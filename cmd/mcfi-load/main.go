@@ -80,7 +80,7 @@ func main() {
 	jobMix := flag.String("job-mix", "", "weighted job-kind mix, e.g. run=4,dlopen=1,jitsim=1 (per-kind latency reported)")
 	work := flag.Int("work", 0, "override workload iteration count (0 = reference inputs)")
 	testWork := flag.Bool("test-work", false, "use each workload's reduced test scale")
-	engine := vm.EngineThreaded
+	engine := vm.EngineBlockJIT
 	flag.Var((*vm.EngineFlag)(&engine), "engine", vm.EngineUsage())
 	baseline := flag.Bool("baseline", false, "run uninstrumented baselines instead of MCFI builds")
 	maxInstr := flag.Int64("max-instr", 0, "per-job instruction budget (0 = server default)")

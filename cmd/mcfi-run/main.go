@@ -34,7 +34,7 @@ func main() {
 	profile := flag.Int("profile", 64, "VISA profile: 32 or 64")
 	maxInstr := flag.Int64("max", 0, "instruction budget (0 = unlimited)")
 	stats := flag.Bool("stats", false, "print instruction counts and table statistics")
-	engine := vm.EngineThreaded
+	engine := vm.EngineBlockJIT
 	flag.Var((*vm.EngineFlag)(&engine), "engine", vm.EngineUsage())
 	var libs listFlag
 	flag.Var(&libs, "lib", "MiniC source compiled as a dlopen-able library (repeatable)")

@@ -1,5 +1,6 @@
-// Differential test of the VM execution engines: the direct-threaded
-// engine and the block compiler must be observationally identical to
+// Differential test of the VM execution engines: the block compiler,
+// both as shipped and with compilation disabled (so every instruction
+// runs on its threaded handler), must be observationally identical to
 // the decode-every-instruction interpreter — same exit code, same
 // output, and a bit-identical retired-instruction count — across every
 // workload, both VISA profiles, and both instrumentation flavors. The
@@ -9,6 +10,7 @@ package mcfi
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -28,28 +30,62 @@ type engineRun struct {
 	instret int64
 }
 
+// engineConfig is one way the differential tests run a guest: an
+// engine and, for blockjit, its compile threshold.
+type engineConfig struct {
+	engine vm.Engine
+	// threshold is the block-compile threshold: 0 for the default,
+	// coldThreshold to disable compilation.
+	threshold int64
+}
+
+// coldThreshold disables block compilation: blockjit then runs every
+// instruction on its threaded handler, its cold path.
+const coldThreshold = math.MaxInt64
+
+func (c engineConfig) String() string {
+	if c.threshold == coldThreshold {
+		return c.engine.String() + "-cold"
+	}
+	return c.engine.String()
+}
+
+// start creates a runtime for img configured as c.
+func (c engineConfig) start(t *testing.T, img *linker.Image) *mrt.Runtime {
+	t.Helper()
+	rt, err := mrt.New(img, mrt.Options{Engine: c.engine})
+	if err != nil {
+		t.Fatalf("engine %s: %v", c, err)
+	}
+	rt.Proc.SetJITThreshold(c.threshold)
+	return rt
+}
+
 func runWithEngine(t *testing.T, img *linker.Image, e vm.Engine) engineRun {
 	t.Helper()
-	rt, err := mrt.New(img, mrt.Options{Engine: e})
-	if err != nil {
-		t.Fatalf("engine %s: %v", e, err)
-	}
+	return runWithConfig(t, img, engineConfig{engine: e})
+}
+
+func runWithConfig(t *testing.T, img *linker.Image, c engineConfig) engineRun {
+	t.Helper()
+	rt := c.start(t, img)
 	code, err := rt.Run(2_000_000_000)
 	if err != nil {
-		t.Fatalf("engine %s: %v (output %q)", e, err, rt.Output())
+		t.Fatalf("engine %s: %v (output %q)", c, err, rt.Output())
 	}
 	return engineRun{code: code, output: rt.Output(), instret: rt.Instret()}
 }
 
-// nonRefEngines returns every engine except the reference interpreter.
-func nonRefEngines() []vm.Engine {
-	var es []vm.Engine
+// nonRefConfigs returns every engine except the reference interpreter,
+// plus blockjit with compilation disabled.
+func nonRefConfigs() []engineConfig {
+	var cs []engineConfig
 	for _, e := range vm.Engines() {
 		if e != vm.EngineInterp {
-			es = append(es, e)
+			cs = append(cs, engineConfig{engine: e})
 		}
 	}
-	return es
+	return append(cs, engineConfig{engine: vm.EngineBlockJIT, threshold: coldThreshold})
 }
 
 // TestEnginesDifferential runs every workload under all engines in all
@@ -71,8 +107,8 @@ func TestEnginesDifferential(t *testing.T) {
 					// The workloads never dlopen, so one image can host
 					// several runtimes.
 					interp := runWithEngine(t, img, vm.EngineInterp)
-					for _, e := range nonRefEngines() {
-						got := runWithEngine(t, img, e)
+					for _, e := range nonRefConfigs() {
+						got := runWithConfig(t, img, e)
 						if interp != got {
 							t.Errorf("%s instr=%v: engines diverge:\n  interp: code=%d instret=%d out=%q\n  %s: code=%d instret=%d out=%q",
 								profile, instr,
@@ -131,12 +167,9 @@ long ext_add(long a, long b) { return (a + b) & 0xFFFF; }
 		t.Fatal(err)
 	}
 
-	run := func(e vm.Engine, storm bool) (engineRun, vm.CheckStats) {
+	run := func(e engineConfig, storm bool) (engineRun, vm.CheckStats) {
 		t.Helper()
-		rt, err := mrt.New(img, mrt.Options{Engine: e})
-		if err != nil {
-			t.Fatalf("engine %s: %v", e, err)
-		}
+		rt := e.start(t, img)
 		rt.RegisterLibrary(ext)
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
@@ -164,11 +197,11 @@ long ext_add(long a, long b) { return (a + b) & 0xFFFF; }
 			rt.Proc.CheckStatsSnapshot()
 	}
 
-	interp, _ := run(vm.EngineInterp, false)
+	interp, _ := run(engineConfig{engine: vm.EngineInterp}, false)
 	if interp.code != 0 {
 		t.Fatalf("dlopen workload exits %d (output %q)", interp.code, interp.output)
 	}
-	for _, e := range nonRefEngines() {
+	for _, e := range nonRefConfigs() {
 		got, st := run(e, false)
 		if interp != got {
 			t.Errorf("quiet dlopen run diverges:\n  interp: %+v\n  %s: %+v", interp, e, got)
@@ -180,7 +213,7 @@ long ext_add(long a, long b) { return (a + b) & 0xFFFF; }
 		}
 	}
 	for _, e := range vm.Engines() {
-		got, _ := run(e, true)
+		got, _ := run(engineConfig{engine: e}, true)
 		if got.code != interp.code || got.output != interp.output {
 			t.Errorf("dlopen run under update storm diverges on %s: code=%d output=%q (want code=%d output=%q)",
 				e, got.code, got.output, interp.code, interp.output)
@@ -196,10 +229,10 @@ func TestEngineFlagParsing(t *testing.T) {
 		want    vm.Engine
 		wantErr bool
 	}{
-		{"", vm.EngineThreaded, false}, // the default engine
+		{"", vm.EngineBlockJIT, false}, // the default engine
 		{"interp", vm.EngineInterp, false},
-		{"threaded", vm.EngineThreaded, false},
 		{"blockjit", vm.EngineBlockJIT, false},
+		{"threaded", 0, true},
 		{"jit", 0, true},
 	}
 	for _, c := range cases {
@@ -212,13 +245,13 @@ func TestEngineFlagParsing(t *testing.T) {
 			t.Errorf("ParseEngine(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
-	if fmt.Sprint(vm.Engines()) != "[interp threaded blockjit]" {
+	if fmt.Sprint(vm.Engines()) != "[interp blockjit]" {
 		t.Errorf("engine names changed: %v", vm.EngineNames())
 	}
 	// The zero value — what a Process gets when SetEngine is never
-	// called — is the default engine, threaded.
-	if vm.Engine(0) != vm.EngineThreaded {
-		t.Errorf("zero-value engine = %v, want threaded", vm.Engine(0))
+	// called — is the default engine, blockjit.
+	if vm.Engine(0) != vm.EngineBlockJIT {
+		t.Errorf("zero-value engine = %v, want blockjit", vm.Engine(0))
 	}
 	// Every name in the shared list round-trips through the parser, and
 	// the parse error enumerates exactly that list — the single source
@@ -229,7 +262,7 @@ func TestEngineFlagParsing(t *testing.T) {
 			t.Errorf("EngineNames entry %q does not round-trip: %v %v", name, e, err)
 		}
 	}
-	for _, name := range []string{"jit", "cached", "fused"} {
+	for _, name := range []string{"jit", "cached", "fused", "threaded"} {
 		if _, err := vm.ParseEngine(name); err == nil || !strings.Contains(err.Error(), strings.Join(vm.EngineNames(), ", ")) {
 			t.Errorf("ParseEngine(%q) error %v does not enumerate EngineNames()", name, err)
 		}

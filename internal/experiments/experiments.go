@@ -42,7 +42,7 @@ type Config struct {
 	// (1.0 approaches the paper's magnitudes; tests use less).
 	GenScale float64
 	// Engine selects the VM execution engine for workload runs
-	// (default: the direct-threaded engine).
+	// (default: the block compiler).
 	Engine vm.Engine
 	// Jobs bounds the worker pool fanning workloads per experiment and
 	// the per-build compile concurrency (0 = GOMAXPROCS).

@@ -165,8 +165,7 @@ func (r *Runtime) Dlopen(name string) (int64, error) {
 
 	if r.Img.Instrumented {
 		// Patch Bary indexes into the freshly loaded code, and let the
-		// threaded and blockjit engines know about its check
-		// transactions.
+		// blockjit engine know about its check transactions.
 		r.assignBranchIndexes(rebased.IBs)
 		r.registerFusedSites(rebased.IBs)
 	}

@@ -52,9 +52,8 @@ type Options struct {
 	Verify func(*module.Object) error
 	// Seed initializes the deterministic guest PRNG.
 	Seed uint64
-	// Engine selects the VM execution engine (default: the
-	// direct-threaded engine; vm.EngineInterp decodes every
-	// instruction).
+	// Engine selects the VM execution engine (default: the block
+	// compiler; vm.EngineInterp decodes every instruction).
 	Engine vm.Engine
 	// ForceFullCFG disables the incremental dlopen path: every policy
 	// change regenerates the full CFG and republishes the whole table

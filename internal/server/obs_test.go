@@ -230,7 +230,7 @@ func TestAuditMatchesDirectVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := mrt.New(img, mrt.Options{Engine: vm.EngineThreaded})
+	rt, err := mrt.New(img, mrt.Options{Engine: vm.EngineBlockJIT})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestAuditMatchesDirectVerdict(t *testing.T) {
 	if rec.Tenant != "attacker" || rec.Job != "hijack" {
 		t.Errorf("audit identity = tenant %q job %q", rec.Tenant, rec.Job)
 	}
-	if rec.Engine != vm.EngineThreaded.String() {
+	if rec.Engine != vm.EngineBlockJIT.String() {
 		t.Errorf("audit engine = %q", rec.Engine)
 	}
 	if rec.Fingerprint == "" || rec.Trace != res.TraceID || rec.Seq != 1 {
@@ -378,7 +378,7 @@ func TestPromExposition(t *testing.T) {
 		`mcfi_jobs_total{outcome="cfi_violation"} 1`,
 		"mcfi_check_halts_total 1",
 		"mcfi_audit_records_total 1",
-		`mcfi_run_seconds_bucket{engine="threaded",le="+Inf"} 2`,
+		`mcfi_run_seconds_bucket{engine="blockjit",le="+Inf"} 2`,
 		"mcfi_run_seconds_count",
 		"mcfi_queue_wait_seconds_sum",
 		`mcfi_build_seconds_bucket{le="+Inf",tier="built"} 2`,
@@ -417,7 +417,7 @@ func TestHealthzBody(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("healthz = %d", code)
 	}
-	if h.Status != "ok" || h.Version != Version || h.Engine != vm.EngineThreaded.String() ||
+	if h.Status != "ok" || h.Version != Version || h.Engine != vm.EngineBlockJIT.String() ||
 		h.Draining || h.Workers < 1 {
 		t.Errorf("health body = %+v", h)
 	}

@@ -105,7 +105,7 @@ type JobRequest struct {
 	Tenant string `json:"tenant,omitempty"`
 	// Baseline skips MCFI instrumentation; Profile selects 32/64
 	// (default 64); Engine selects any vm.EngineNames() entry (default
-	// threaded).
+	// blockjit).
 	Baseline bool   `json:"baseline,omitempty"`
 	Profile  int    `json:"profile,omitempty"`
 	Engine   string `json:"engine,omitempty"`
@@ -807,7 +807,7 @@ func (s *Server) runJob(j *job) JobResult {
 		res.Status, res.Error = StatusBuildError, err.Error()
 		return res
 	}
-	engine, err := vm.ParseEngineDefault(j.req.Engine, vm.EngineThreaded)
+	engine, err := vm.ParseEngine(j.req.Engine)
 	if err != nil {
 		res.Status, res.Error = StatusBuildError, err.Error()
 		return res
@@ -1270,7 +1270,7 @@ func (s *Server) health() Health {
 		Status:     "ok",
 		Version:    Version,
 		Replica:    s.self,
-		Engine:     vm.EngineThreaded.String(),
+		Engine:     vm.EngineBlockJIT.String(),
 		Draining:   s.Draining(),
 		UptimeSecs: time.Since(s.start).Seconds(),
 		Workers:    s.Workers(),

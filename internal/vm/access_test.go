@@ -34,7 +34,7 @@ func accessAddrs() []int64 {
 
 // accessOp is one guest access: a load (ext sign- or zero-extends its
 // n bytes into the destination) or a store, optionally preceded by the
-// rewriter's sandbox mask (which the threaded engines fuse with the
+// rewriter's sandbox mask (which blockjit's fill path fuses with the
 // store).
 type accessOp struct {
 	op     visa.Op
@@ -128,8 +128,8 @@ func emitAccess(a *visa.Asm, op accessOp, addr int64) accessProgram {
 // made RW to be filled, then given its final protection.
 func newAccessProcess(e Engine, code []byte) *Process {
 	p := NewProcess()
-	p.SetEngine(e)
 	p.SetJITThreshold(1)
+	useEngine(p, e)
 	copy(p.Mem[visa.CodeBase:], code)
 	p.Protect(visa.CodeBase, int64(len(code)), visa.ProtRead|visa.ProtExec)
 	for _, r := range [][2]int64{{accScratch, accNoneEnd + PageSize}, {accTop, accLen}} {
@@ -215,10 +215,11 @@ func wantAccess(p *Process, op accessOp, addr int64, pr accessProgram) accessOut
 }
 
 // TestGuestAccessBoundaries runs every load and store width at every
-// boundary address through Run under every engine, and requires each
-// engine's fault, destination register, instret and memory to match
-// the guest-access contract — so all engines agree with each other and
-// with it. The access runs on a loop's third pass, after the block
+// boundary address through Run under every engine and under blockjit
+// with compilation disabled (engineCold, the threaded handlers), and
+// requires each one's fault, destination register, instret and memory
+// to match the guest-access contract — so all agree with each other
+// and with it. The access runs on a loop's third pass, after the block
 // compiler has compiled the loop, so blockjit's memory steps are the
 // ones exercised.
 func TestGuestAccessBoundaries(t *testing.T) {
@@ -232,7 +233,7 @@ func TestGuestAccessBoundaries(t *testing.T) {
 		if err := a.Finish(); err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range Engines() {
+		for _, e := range testEngines() {
 			p := newAccessProcess(e, a.Code)
 			for i, addr := range addrs {
 				pr := progs[i]

@@ -1,49 +1,53 @@
-// Profile-guided fill-time block compiler. The threaded engine pays
-// one icache lookup plus one indirect call per retired instruction;
-// EngineBlockJIT compiles each hot straight-line block into a
-// compiled trace — a contiguous array of pre-bound steps the
-// dispatcher executes with one block lookup per *block* — so the run
-// loop's per-instruction costs (icache probe, valid-bitmap test,
-// watermark compare, PC/Instret stores for pure ops) are paid once
-// per block instead of once per instruction. Pure register steps are
-// bound as inline micro-ops (a jump-table dispatch with operands and
-// constants pre-extracted — no call at all); steps that can fault or
-// leave the VM keep a pre-bound func pointer to their threaded
-// handler so fault semantics live in exactly one place.
+// Profile-guided block compiler: EngineBlockJIT, the production
+// engine. Cold code runs on the threaded handlers (threaded.go), one
+// instruction-cache probe plus one indirect call per retired
+// instruction. Each hot straight-line block is compiled into a trace —
+// a contiguous array of pre-bound steps the run loop executes with one
+// lookup per *block* — so the per-instruction costs (icache probe,
+// valid-bitmap test, watermark compare, PC/Instret stores for pure ops)
+// are paid once per block instead of once per instruction. Pure
+// register steps are bound as inline micro-ops (a jump-table dispatch
+// with operands and constants pre-extracted — no call at all); steps
+// that can fault or leave the VM keep a pre-bound func pointer to their
+// threaded handler so fault semantics live in exactly one place.
 //
-// Profile guidance: every potential block start (the target of any
-// control transfer) carries an execution counter, and only starts
-// whose count crosses the JIT threshold pay compile cost. Cold code
-// executes on the threaded engine's dispatch path unchanged, so a
-// block that never gets hot costs one counter increment per entry and
-// nothing else.
+// Profile guidance: every control transfer reports its target, a
+// potential block start, to a per-thread table of entry counters
+// (Thread.noteStart), and only starts whose count reaches the JIT
+// threshold pay compile cost. A block is compiled from the
+// instructions its page cache already holds, so compiling decodes
+// nothing. The run loop keeps threaded dispatch's cost on cold code: a
+// page cache marks its compiled block starts off the direct-dispatch
+// bitmap, so only those pcs look for a block.
 //
 // Block boundaries. A block is the maximal trace from its start such
-// that every instruction *starts* inside the start's page: it follows
-// the fall-through edge of conditional branches (a taken branch exits
-// the block early with PC on the target), folds forward
-// unconditional jumps within the page, and ends at the first
-// unpredictable transfer (indirect branch, call, return, syscall,
-// hlt, longjmp, backward jump), at a fused check superinstruction's
-// join (the check manages PC itself — on retry exhaustion it loops
-// back to the transaction start), or at the page boundary. The page
-// rule makes invalidation congruent with the icache: dropping pages
-// [first-1, last) covers every block whose instructions could span
-// the changed range.
+// that every instruction *starts* inside the start's page and has been
+// fetched before: it follows the fall-through edge of conditional
+// branches (a taken branch exits the block early with PC on the
+// target), folds forward unconditional jumps within the page, and ends
+// at the first unpredictable transfer (indirect branch, call, return,
+// syscall, hlt, longjmp, backward jump), at a fused check
+// superinstruction's join (the check manages PC itself — on retry
+// exhaustion it loops back to the transaction start), at an
+// instruction the run has not reached yet, or at the page boundary.
+// Blocks live in the page cache of their start's page, so every
+// invalidation that drops a page cache drops its blocks with it, and
+// the icache's one-page-back rule covers every block whose
+// instructions could span a changed range.
 //
 // Invalidation reuses the verdict caches' epoch: a block is stamped
-// with the check epoch read BEFORE its first byte is decoded, and the
-// dispatcher refuses any block whose stamp is below the discard
-// floor. A full update transaction advances the floor to the new
-// epoch (BumpCheckEpoch), condemning every block; a delta update or
-// Protect advances only the epoch and drops the compiler pages
+// with the check epoch read before compiling, and the dispatcher
+// refuses any block whose stamp is below the discard floor. A full
+// update transaction advances the floor to the new epoch
+// (BumpCheckEpoch), condemning every block; a delta update advances
+// only the epoch and drops the compiled blocks of the pages
 // overlapping the changed extent (BumpCheckEpochExtent), so blocks
-// elsewhere survive. Either way a block can never replay a check
-// verdict (checks re-validate at execution) or code bytes from before
-// the change; a condemned block is dropped at dispatch and its start
-// re-profiled from zero.
+// elsewhere survive, and Protect drops the page caches themselves.
+// Either way a block can never replay a check verdict (checks
+// re-validate at execution) or code bytes from before the change; a
+// condemned block is dropped and its start re-profiled.
 //
-// Accounting is bit-identical to the other engines. Pure register
+// Accounting is bit-identical to the interpreter. Pure register
 // steps defer their Instret/PC updates into a pending count that the
 // next effectful step (or the block epilogue) credits before acting,
 // so a fault inside a block reports the exact interp-engine Instret
@@ -55,6 +59,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -76,7 +81,7 @@ const maxBlockSteps = 256
 // handler delegation so a mis-initialized step fails safe (through
 // the threaded handler, never a silent register micro-op).
 const (
-	kHandler  uint8 = iota // delegate to the threaded handler (s.h, s.ins)
+	kHandler  uint8 = iota // delegate to the threaded handler (calls[s.call])
 	kEnd                   // block epilogue: credit retires, land PC
 	kJmp                   // pre-bound direct jump (backward / page-leaving)
 	kCall                  // pre-bound direct call
@@ -138,9 +143,10 @@ const (
 )
 
 // blockStep is one micro-op of a compiled block: a kind tag plus
-// pre-extracted operands, one cache line, stored in a contiguous
-// array — the block loop walks it like the icache slot array instead
-// of chasing per-step heap closures. Field use by kind:
+// pre-extracted operands, 32 bytes, stored in a contiguous array — the
+// block loop walks it like the icache slot array instead of chasing
+// per-step heap closures. The few steps that call a threaded handler
+// keep it in the block's calls array. Field use by kind:
 //
 //	pures:     r1, r2, imm as in the source instruction (cc for kSet)
 //	kJcc:      cc; pc = fall-through, next = taken, pending = retire
@@ -148,19 +154,28 @@ const (
 //	kJmp:      imm = target, pending = retire
 //	kCall:     pc = call site, next = return address, imm = target
 //	kEnd:      pc = fall-through PC, pending = retire
-//	kHandler:  h + ins + pc/next per the stepFn contract
-//	kLoadOp:   load in h/ins/pc/next, ALU micro-op in cc with r1/r2,
-//	           imm = PC after the pair
+//	kHandler:  calls[call] + pc/next per the stepFn contract
+//	kLoadOp:   load in calls[call] + pc/next, ALU micro-op in cc with
+//	           r1/r2, imm = PC after the pair
+//
+// pending fits 16 bits: it counts instructions the compiler walked
+// through inside one page since the last effectful step.
 type blockStep struct {
 	kind    uint8
 	cc      uint8
 	r1, r2  uint8
+	pending int16
+	call    uint16
 	imm     int64
 	pc      int64
 	next    int64
-	pending int64
-	h       stepFn
-	ins     visa.Instr
+}
+
+// stepCall is a block step's threaded handler and the instruction it
+// runs on.
+type stepCall struct {
+	h   stepFn
+	ins visa.Instr
 }
 
 // compiledBlock is one compiled block.
@@ -170,35 +185,64 @@ type compiledBlock struct {
 	// stamp falls below the process's discard floor (advanced by each
 	// full-range update transaction).
 	epoch int64
-	// steps is the block body, executed in order by Thread.runBlock.
+	// steps is the block body, executed in order by Thread.runBlock;
+	// calls holds its handler steps' calls.
 	steps []blockStep
+	calls []stepCall
 	// maxRetire is a conservative upper bound on instructions one
 	// dispatch can retire; the dispatcher single-steps instead when
 	// the remaining budget is smaller, keeping ErrBudget exact.
 	maxRetire int64
 }
 
-// jitPage holds per-offset profiling counters and compiled blocks for
-// one guest page, mirroring pageCache's indexing. Both arrays are
-// lock-free: counters are monotonic heuristics and block pointers are
-// published whole.
+// jitPage holds the compiled blocks of one guest page, indexed by
+// page offset like the page cache it hangs off (pageCache.jit). Blocks
+// start only at control-transfer targets, so the table is two-level:
+// one chunk of chunkLen entries is allocated per stretch of the page
+// that has a block, and a page with a handful of hot loops costs a few
+// KiB, not a pointer per byte. The page is installed on its first
+// compile, so code that never gets hot costs nothing. Pointers are
+// published whole and read lock-free.
 type jitPage struct {
-	counts [PageSize]atomic.Uint32
-	blocks [PageSize]atomic.Pointer[compiledBlock]
+	chunks [PageSize / chunkLen]atomic.Pointer[blockChunk]
+}
+
+// chunkLen is the page offsets one blockChunk covers.
+const chunkLen = 64
+
+// blockChunk is one second-level stretch of a jitPage.
+type blockChunk [chunkLen]atomic.Pointer[compiledBlock]
+
+// block returns the block compiled at page offset off, if any.
+func (jp *jitPage) block(off int) *compiledBlock {
+	if ch := jp.chunks[off/chunkLen].Load(); ch != nil {
+		return ch[off%chunkLen].Load()
+	}
+	return nil
+}
+
+// slot returns the entry for page offset off, installing its chunk.
+func (jp *jitPage) slot(off int) *atomic.Pointer[compiledBlock] {
+	chp := &jp.chunks[off/chunkLen]
+	ch := chp.Load()
+	if ch == nil {
+		chp.CompareAndSwap(nil, new(blockChunk))
+		ch = chp.Load()
+	}
+	return &ch[off%chunkLen]
 }
 
 // jitState is the block compiler's per-process state plus its
 // process-wide counters (flushed from threads at the watermark
 // cadence, read lock-free by serving metrics).
 type jitState struct {
-	pages     []atomic.Pointer[jitPage]
 	threshold int64
 
 	// floor is the discard floor: a block whose epoch stamp is below
 	// it is stale. BumpCheckEpoch stores the new epoch here (full
 	// invalidation); BumpCheckEpochExtent leaves it alone and drops
-	// pages instead (extent invalidation). Invariant: floor <= epoch,
-	// so a freshly stamped block is never born stale.
+	// pages' blocks instead (extent invalidation). Invariant: floor <=
+	// epoch, so a freshly stamped block is never born stale.
 	floor atomic.Int64
 
 	compiled     atomic.Int64
@@ -208,24 +252,71 @@ type jitState struct {
 	coldSteps    atomic.Int64
 }
 
+// startHashBits sizes each thread's block-start profile
+// (Thread.startHits).
+const startHashBits = 10
+
+// startHash maps a block start to its profile counter. Starts that
+// collide share a counter, which only makes the colder one compile
+// sooner; a hot start stops counting once its block is compiled.
+func startHash(pc int64) uint32 {
+	return uint32(pc^pc>>startHashBits) & (1<<startHashBits - 1)
+}
+
 // SetJITThreshold sets the block-compile execution threshold for
-// EngineBlockJIT (<= 0 restores the default of 64). Call before the
-// process starts executing.
+// EngineBlockJIT: <= 0 restores the default of 64, and a threshold
+// above math.MaxUint32 disables compilation, so every instruction
+// runs on the threaded handlers. Call before the process
+// starts executing.
 func (p *Process) SetJITThreshold(n int64) { p.jit.threshold = n }
 
-// jitPageAt returns the jitPage for page pg, installing one if
-// needed. If an invalidation races the install the orphan page is
-// returned; its lost counts only delay recompilation.
-func (p *Process) jitPageAt(pg uint64) *jitPage {
-	slot := &p.jit.pages[pg]
-	if jp := slot.Load(); jp != nil {
+// jitThreshold returns the effective compile threshold, 0 when
+// compilation is disabled.
+func (p *Process) jitThreshold() uint32 {
+	switch n := p.jit.threshold; {
+	case n <= 0:
+		return defaultBlockThreshold
+	case n > math.MaxUint32:
+		return 0
+	default:
+		return uint32(n)
+	}
+}
+
+// block returns the block compiled at page offset off, if any.
+func (c *pageCache) block(off int) *compiledBlock {
+	if jp := c.jit.Load(); jp != nil {
+		return jp.block(off)
+	}
+	return nil
+}
+
+// dropBlocks discards the page's compiled blocks and marks every
+// valid slot for direct dispatch again. (A block a concurrent compile
+// publishes into the dropped table is never found; it may leave its
+// start off the direct path, which costs that slot a block lookup.)
+func (c *pageCache) dropBlocks() {
+	if c.jit.Swap(nil) == nil {
+		return
+	}
+	for i := range c.direct {
+		setBits(&c.direct[i], atomic.LoadUint32(&c.valid[i]))
+	}
+}
+
+// jitPage returns the page's compiled-block table, installing one if
+// needed. If an invalidation races the install the orphan table is
+// returned; a block stored into it is simply never found, which only
+// delays recompilation.
+func (c *pageCache) jitPage() *jitPage {
+	if jp := c.jit.Load(); jp != nil {
 		return jp
 	}
 	njp := &jitPage{}
-	if slot.CompareAndSwap(nil, njp) {
+	if c.jit.CompareAndSwap(nil, njp) {
 		return njp
 	}
-	if jp := slot.Load(); jp != nil {
+	if jp := c.jit.Load(); jp != nil {
 		return jp
 	}
 	return njp
@@ -241,58 +332,66 @@ func (t *Thread) runBlock(b *compiledBlock) error {
 		s := &ss[i]
 		switch s.kind {
 		case kHandler:
-			t.Instret += s.pending
+			t.Instret += int64(s.pending)
 			t.PC = s.pc
-			if err := s.h(t, &s.ins, s.pc, s.next); err != nil {
+			c := &b.calls[s.call]
+			if err := c.h(t, &c.ins, s.pc, s.next); err != nil {
 				return err
 			}
 		case kEnd:
-			t.Instret += s.pending
+			t.Instret += int64(s.pending)
 			t.PC = s.pc
+			t.noteStart(s.pc)
 		case kJmp:
-			t.Instret += s.pending
+			t.Instret += int64(s.pending)
 			t.PC = s.imm
+			t.noteStart(s.imm)
 		case kCall:
-			t.Instret += s.pending
+			t.Instret += int64(s.pending)
 			t.PC = s.pc // a stack fault reports the call's own address
 			if err := t.push(s.next); err != nil {
 				return err
 			}
 			t.PC = s.imm
+			t.noteStart(s.imm)
 		case kJcc:
-			t.Instret += s.pending
+			t.Instret += int64(s.pending)
 			if t.cond(s.cc) {
 				t.PC = s.next
+				t.noteStart(s.next)
 				return nil
 			}
 			t.PC = s.pc
 		case kCmpRRJcc:
-			t.Instret += s.pending
+			t.Instret += int64(s.pending)
 			t.fa, t.fb, t.fFloat = t.Reg[s.r1], t.Reg[s.r2], false
 			if t.cond(s.cc) {
 				t.PC = s.next
+				t.noteStart(s.next)
 				return nil
 			}
 			t.PC = s.pc
 		case kCmpRIJcc:
-			t.Instret += s.pending
+			t.Instret += int64(s.pending)
 			t.fa, t.fb, t.fFloat = t.Reg[s.r1], s.imm, false
 			if t.cond(s.cc) {
 				t.PC = s.next
+				t.noteStart(s.next)
 				return nil
 			}
 			t.PC = s.pc
 		case kLoadOp:
-			t.Instret += s.pending
+			t.Instret += int64(s.pending)
 			t.PC = s.pc
-			if err := s.h(t, &s.ins, s.pc, s.next); err != nil {
+			c := &b.calls[s.call]
+			if err := c.h(t, &c.ins, s.pc, s.next); err != nil {
 				return err
 			}
 			t.Instret++
 			runPureALU(t, s.cc, s.r1, s.r2)
 			t.PC = s.imm
 		case kLd8:
-			t.Instret += s.pending + 1
+			t.Instret += int64(s.pending) + 1
 			t.PC = s.pc
 			v, err := t.load8(t.Reg[s.r2] + s.imm)
 			t.Reg[s.r1] = int64(int8(v))
@@ -301,7 +400,7 @@ func (t *Thread) runBlock(b *compiledBlock) error {
 			}
 			t.PC = s.next
 		case kLd8U:
-			t.Instret += s.pending + 1
+			t.Instret += int64(s.pending) + 1
 			t.PC = s.pc
 			v, err := t.load8(t.Reg[s.r2] + s.imm)
 			t.Reg[s.r1] = int64(v)
@@ -310,7 +409,7 @@ func (t *Thread) runBlock(b *compiledBlock) error {
 			}
 			t.PC = s.next
 		case kLd16:
-			t.Instret += s.pending + 1
+			t.Instret += int64(s.pending) + 1
 			t.PC = s.pc
 			v, err := t.load16(t.Reg[s.r2] + s.imm)
 			t.Reg[s.r1] = int64(int16(v))
@@ -319,7 +418,7 @@ func (t *Thread) runBlock(b *compiledBlock) error {
 			}
 			t.PC = s.next
 		case kLd16U:
-			t.Instret += s.pending + 1
+			t.Instret += int64(s.pending) + 1
 			t.PC = s.pc
 			v, err := t.load16(t.Reg[s.r2] + s.imm)
 			t.Reg[s.r1] = int64(v)
@@ -328,7 +427,7 @@ func (t *Thread) runBlock(b *compiledBlock) error {
 			}
 			t.PC = s.next
 		case kLd32:
-			t.Instret += s.pending + 1
+			t.Instret += int64(s.pending) + 1
 			t.PC = s.pc
 			v, err := t.load32(t.Reg[s.r2] + s.imm)
 			t.Reg[s.r1] = int64(int32(v))
@@ -337,7 +436,7 @@ func (t *Thread) runBlock(b *compiledBlock) error {
 			}
 			t.PC = s.next
 		case kLd32U:
-			t.Instret += s.pending + 1
+			t.Instret += int64(s.pending) + 1
 			t.PC = s.pc
 			v, err := t.load32(t.Reg[s.r2] + s.imm)
 			t.Reg[s.r1] = int64(v)
@@ -346,7 +445,7 @@ func (t *Thread) runBlock(b *compiledBlock) error {
 			}
 			t.PC = s.next
 		case kLd64:
-			t.Instret += s.pending + 1
+			t.Instret += int64(s.pending) + 1
 			t.PC = s.pc
 			v, err := t.load64(t.Reg[s.r2] + s.imm)
 			t.Reg[s.r1] = int64(v)
@@ -355,28 +454,28 @@ func (t *Thread) runBlock(b *compiledBlock) error {
 			}
 			t.PC = s.next
 		case kSt8:
-			t.Instret += s.pending + 1
+			t.Instret += int64(s.pending) + 1
 			t.PC = s.pc
 			if err := t.store8(t.Reg[s.r2]+s.imm, uint8(t.Reg[s.r1])); err != nil {
 				return err
 			}
 			t.PC = s.next
 		case kSt16:
-			t.Instret += s.pending + 1
+			t.Instret += int64(s.pending) + 1
 			t.PC = s.pc
 			if err := t.store16(t.Reg[s.r2]+s.imm, uint16(t.Reg[s.r1])); err != nil {
 				return err
 			}
 			t.PC = s.next
 		case kSt32:
-			t.Instret += s.pending + 1
+			t.Instret += int64(s.pending) + 1
 			t.PC = s.pc
 			if err := t.store32(t.Reg[s.r2]+s.imm, uint32(t.Reg[s.r1])); err != nil {
 				return err
 			}
 			t.PC = s.next
 		case kSt64:
-			t.Instret += s.pending + 1
+			t.Instret += int64(s.pending) + 1
 			t.PC = s.pc
 			if err := t.store64(t.Reg[s.r2]+s.imm, uint64(t.Reg[s.r1])); err != nil {
 				return err
@@ -627,28 +726,31 @@ func bindPureStep(kind uint8, ins visa.Instr) blockStep {
 	return s
 }
 
-// runBlockJIT is EngineBlockJIT's run loop: the threaded engine's
-// watermark loop with a compiled-block dispatch in front of the
-// per-instruction path. atStart tracks whether pc was reached by a
-// control transfer — only such pcs are block starts, so a 20-step
-// loop body profiles (and compiles) once at its head instead of once
-// per suffix.
+// runBlockJIT is EngineBlockJIT's run loop. The outer block performs
+// exactly the checks the interpreter's Run loop does at its poll
+// points — budget, exit, cancellation, counter flush — and the inner
+// loop then executes without per-step checks until the next
+// watermark: the same 1024-retired-instruction cadence, with the
+// budget clamped in so exhaustion is detected on the precise
+// instruction, not at the next flush. The fetch is open-coded (a
+// helper call is measurable at this dispatch rate), and the unsigned
+// page-index compare folds the pc<0 check into the bounds check.
+//
+// A slot on the direct bitmap dispatches through its handler at once;
+// only a valid slot off it — a compiled block start — looks for its
+// block. Profiling happens where control transfers
+// (Thread.noteStart), not here, so cold code costs what threaded
+// dispatch costs. Cold steps are counted in a local and credited once
+// per window.
 func (t *Thread) runBlockJIT(maxInstr int64) error {
 	p := t.P
 	icache := p.icache
-	jpages := p.jit.pages
-	threshold := p.jit.threshold
-	if threshold <= 0 {
-		threshold = defaultBlockThreshold
-	}
-	if threshold > math.MaxUint32 {
-		threshold = math.MaxUint32
-	}
+	t.startThreshold = p.jitThreshold()
+	t.noteStart(t.PC) // entering from the host is a control transfer too
 	blockBudget := int64(math.MaxInt64)
 	if maxInstr > 0 {
 		blockBudget = maxInstr
 	}
-	atStart := true
 	for {
 		if maxInstr > 0 && t.Instret >= maxInstr {
 			return fmt.Errorf("%w (limit %d)", ErrBudget, maxInstr)
@@ -664,84 +766,132 @@ func (t *Thread) runBlockJIT(maxInstr int64) error {
 		if maxInstr > 0 && maxInstr < limit {
 			limit = maxInstr
 		}
-		// The discard floor is re-read once per watermark window; the
-		// discard path refreshes it before condemning a block, so a
-		// block compiled inside the current window is not thrashed.
+		// The discard floor is re-read once per watermark window.
 		floor := p.jit.floor.Load()
+		var cold int64
 		for t.Instret < limit {
 			pc := t.PC
-			pg := uint64(pc) / PageSize
-			off := int(pc & (PageSize - 1))
-			var jp *jitPage
-			if pg < uint64(len(jpages)) {
-				jp = jpages[pg].Load()
-			}
-			if jp != nil {
-				if b := jp.blocks[off].Load(); b != nil {
-					stale := b.epoch < floor
-					if stale {
-						floor = p.jit.floor.Load()
-						stale = b.epoch < floor
-					}
-					if stale {
-						// Compiled before the last full update
-						// transaction: drop it and re-profile, so stale
-						// code bytes or pre-bound state can never
-						// execute.
-						jp.blocks[off].CompareAndSwap(b, nil)
-						jp.counts[off].Store(0)
-						p.jit.discards.Add(1)
-					} else if t.Instret+b.maxRetire <= blockBudget {
-						t.JITBlockRuns++
-						if err := t.runBlock(b); err != nil {
-							return err
-						}
-						atStart = true
-						continue
-					}
-					// Within maxRetire of the budget: single-step the
-					// tail so exhaustion lands on the exact instruction.
-				}
-			}
-			// Cold path: threaded dispatch plus block-start profiling.
-			t.JITColdSteps++
-			if pg < uint64(len(icache)) {
+			if pg := uint64(pc) / PageSize; pg < uint64(len(icache)) {
 				if c := icache[pg].Load(); c != nil {
-					if atomic.LoadUint32(&c.valid[off>>5])&(uint32(1)<<(off&31)) != 0 {
-						if atStart {
-							if jp == nil {
-								jp = p.jitPageAt(pg)
-							}
-							if jp.counts[off].Add(1) == uint32(threshold) {
-								if b := p.compileBlock(pc); b != nil {
-									jp.blocks[off].Store(b)
-								}
-							}
-						}
+					off := int(pc & (PageSize - 1))
+					w, bit := off>>5, uint32(1)<<(off&31)
+					if atomic.LoadUint32(&c.direct[w])&bit != 0 {
+						cold++
 						s := &c.slots[off]
 						if err := s.fn(t, &s.ins, pc, pc+int64(s.size)); err != nil {
-							return err
+							return t.creditCold(cold, err)
 						}
-						atStart = t.PC != pc+int64(s.size)
+						continue
+					}
+					if atomic.LoadUint32(&c.valid[w])&bit != 0 {
+						// A compiled block starts here: run it if it is
+						// current and fits the budget. Within maxRetire of
+						// the budget the tail single-steps, so exhaustion
+						// lands on the exact instruction.
+						if b := c.block(off); b != nil {
+							if b.epoch < floor {
+								p.discard(c, off, b)
+							} else if t.Instret+b.maxRetire <= blockBudget {
+								t.JITBlockRuns++
+								if err := t.runBlock(b); err != nil {
+									return t.creditCold(cold, err)
+								}
+								continue
+							}
+						}
+						cold++
+						s := &c.slots[off]
+						if err := s.fn(t, &s.ins, pc, pc+int64(s.size)); err != nil {
+							return t.creditCold(cold, err)
+						}
 						continue
 					}
 				}
 			}
 			// Miss: check executability, fill the slot, dispatch once
-			// from the fill result (as runThreaded).
+			// from the fill result (the slot may not have been cached if
+			// the page raced an invalidation).
+			cold++
 			if p.Prot(pc)&visa.ProtExec == 0 {
-				return t.fault(FaultExec, "pc %#x not executable", pc)
+				return t.creditCold(cold, t.fault(FaultExec, "pc %#x not executable", pc))
 			}
 			ins, size, err := p.cacheFill(pc)
 			if err != nil {
-				return t.fault(FaultDecode, "%v", err)
+				return t.creditCold(cold, t.fault(FaultDecode, "%v", err))
 			}
 			if err := opFuncs[ins.Op](t, ins, pc, pc+int64(size)); err != nil {
-				return err
+				return t.creditCold(cold, err)
 			}
-			atStart = t.PC != pc+int64(size)
+		}
+		t.JITColdSteps += cold
+	}
+}
+
+// creditCold adds a window's cold dispatches to the thread's count
+// and returns err, for the run loop's exits.
+func (t *Thread) creditCold(n int64, err error) error {
+	t.JITColdSteps += n
+	return err
+}
+
+// noteStart profiles pc, the target of a control transfer, as a block
+// start. The counters are the thread's own, so counting takes no
+// atomic operation; once a start has been entered startThreshold times
+// its block is compiled (compileAt). The counter restarts either way,
+// so a start whose block already exists pays one check per
+// startThreshold entries.
+func (t *Thread) noteStart(pc int64) {
+	h := &t.startHits[startHash(pc)]
+	if *h++; *h == t.startThreshold {
+		*h = 0
+		t.P.compileAt(pc)
+	}
+}
+
+// discard drops a block stamped below the discard floor: it was
+// compiled before the last full update transaction, so stale code
+// bytes or pre-bound state can never execute. Its start goes back to
+// direct dispatch and re-profiles.
+func (p *Process) discard(c *pageCache, off int, b *compiledBlock) {
+	if jp := c.jit.Load(); jp != nil && jp.slot(off).CompareAndSwap(b, nil) {
+		p.jit.discards.Add(1)
+		setBits(&c.direct[off>>5], uint32(1)<<(off&31))
+	}
+}
+
+// compileAt compiles the block starting at pc and publishes it in the
+// page cache, replacing a stale one, unless a current one exists or
+// pc's instruction has never been fetched (its page cache slot is
+// empty).
+func (p *Process) compileAt(pc int64) {
+	if p.jitThreshold() == 0 {
+		return // a start counter wrapped around with compilation disabled
+	}
+	pg := uint64(pc) / PageSize
+	if pg >= uint64(len(p.icache)) {
+		return
+	}
+	c := p.icache[pg].Load()
+	if c == nil || c.slotAt(pc, int64(pg+1)*PageSize) == nil {
+		return
+	}
+	off := int(pc & (PageSize - 1))
+	old := c.block(off)
+	if old == nil || old.epoch < p.jit.floor.Load() {
+		// Take the block table before compiling: an extent
+		// invalidation during the compile orphans it, so the block is
+		// never found.
+		jp := c.jitPage()
+		b := p.compileBlock(c, pc)
+		if b == nil || !jp.slot(off).CompareAndSwap(old, b) {
+			return
+		}
+		if old != nil {
+			p.jit.discards.Add(1) // a stale block replaced
 		}
 	}
+	// The run loop looks for a block only off the direct path.
+	clearBits(&c.direct[off>>5], uint32(1)<<(off&31))
 }
 
 // terminatesBlock reports whether an instruction unconditionally ends
@@ -778,39 +928,56 @@ func maxRetireOf(op visa.Op) int64 {
 	return 1
 }
 
-// fetchForCompile predecodes the instruction at pc exactly as the
-// icache fill path does, without publishing into the icache.
-func (p *Process) fetchForCompile(pc int64) (visa.Instr, int, bool) {
-	if pc < 0 || pc >= int64(len(p.Mem)) || p.Prot(pc)&visa.ProtExec == 0 {
-		return visa.Instr{}, 0, false
+// slotAt returns the page cache's slot at pc, or nil when pc is past
+// the page or its instruction has never been fetched.
+func (c *pageCache) slotAt(pc, pageEnd int64) *cacheSlot {
+	if pc >= pageEnd {
+		return nil
 	}
-	ins, n, err := p.predecode(pc)
-	return ins, n, err == nil
+	off := int(pc & (PageSize - 1))
+	if atomic.LoadUint32(&c.valid[off>>5])&(uint32(1)<<(off&31)) == 0 {
+		return nil
+	}
+	return &c.slots[off]
 }
 
-// compileBlock compiles the trace starting at pc into a
-// compiledBlock, or returns nil when there is nothing to compile
-// (e.g. the start raced an invalidation). The epoch is read before
-// any byte: Protect bumps it after changing code, so a block compiled
-// from bytes that moved underneath it is stale on arrival and never
-// dispatched.
-func (p *Process) compileBlock(start int64) *compiledBlock {
+// compileBlock compiles the trace starting at start, in the page
+// cached by c, into a compiledBlock, or returns nil when there is
+// nothing to compile. It reads the instructions the page cache has
+// already predecoded — so it decodes nothing, and the block retires
+// exactly what the cold path would — and the trace ends at the first
+// instruction never fetched: that is a path the run has not taken
+// yet, and if it gets hot it becomes a block start of its own. A
+// block compiled from a page cache that an invalidation dropped lands
+// in that orphaned cache and is never dispatched. The epoch stamp is
+// read first, so a full update transaction during the compile leaves
+// the block stale on arrival.
+func (p *Process) compileBlock(c *pageCache, start int64) *compiledBlock {
 	t0 := time.Now()
 	epoch := p.fused.epoch.Load()
 	pageEnd := (start/PageSize + 1) * PageSize
 
-	var steps []blockStep
+	// Compile into a buffer on the stack and keep an exact-size copy:
+	// each loop iteration appends at most two steps and the epilogue
+	// one more, so the buffer never grows.
+	var buf [maxBlockSteps + 2]blockStep
+	var cbuf [maxBlockSteps + 2]stepCall
+	steps, calls := buf[:0], cbuf[:0]
+	call := func(ins visa.Instr) uint16 {
+		calls = append(calls, stepCall{h: opFuncs[ins.Op], ins: ins})
+		return uint16(len(calls) - 1)
+	}
 	var maxRetire int64
 	pending := int64(0) // pure-step retires deferred to the next effect
 	pc := start
 	done := false
 
 	for !done && len(steps) < maxBlockSteps && pc < pageEnd {
-		ins, n, ok := p.fetchForCompile(pc)
-		if !ok {
+		cs := c.slotAt(pc, pageEnd)
+		if cs == nil {
 			break
 		}
-		next := pc + int64(n)
+		ins, next := cs.ins, pc+int64(cs.size)
 
 		if ins.Op == visa.JMP {
 			target := next + ins.Imm
@@ -823,7 +990,7 @@ func (p *Process) compileBlock(start int64) *compiledBlock {
 				continue
 			}
 			// Backward or page-leaving jump: pre-bound target.
-			steps = append(steps, blockStep{kind: kJmp, imm: target, pending: pending + 1})
+			steps = append(steps, blockStep{kind: kJmp, imm: target, pending: int16(pending + 1)})
 			maxRetire += pending + 1
 			pending = 0
 			done = true
@@ -836,7 +1003,7 @@ func (p *Process) compileBlock(start int64) *compiledBlock {
 			// fall-through edge; a taken branch exits early.
 			steps = append(steps, blockStep{
 				kind: kJcc, cc: cc - 1,
-				pc: next, next: next + ins.Imm, pending: pending + 1,
+				pc: next, next: next + ins.Imm, pending: int16(pending + 1),
 			})
 			maxRetire += pending + 1
 			pending = 0
@@ -848,13 +1015,13 @@ func (p *Process) compileBlock(start int64) *compiledBlock {
 			if ins.Op == visa.CALL {
 				steps = append(steps, blockStep{
 					kind: kCall, pc: pc, next: next,
-					imm: next + ins.Imm, pending: pending + 1,
+					imm: next + ins.Imm, pending: int16(pending + 1),
 				})
 				maxRetire += pending + 1
 			} else {
 				steps = append(steps, blockStep{
-					kind: kHandler, h: opFuncs[ins.Op], ins: ins,
-					pc: pc, next: next, pending: pending,
+					kind: kHandler, call: call(ins),
+					pc: pc, next: next, pending: int16(pending),
 				})
 				maxRetire += pending + maxRetireOf(ins.Op)
 			}
@@ -875,12 +1042,11 @@ func (p *Process) compileBlock(start int64) *compiledBlock {
 			// Peephole: compare + conditional branch. The flag setter
 			// and the jcc consuming it become one step evaluating the
 			// condition against pre-bound taken/fallthrough targets.
-			if j, jn, ok2 := p.fetchForCompile(next); ok2 && next < pageEnd &&
-				rewrite.IsCmpJccPair(ins, j) {
-				fall := next + int64(jn)
+			if js := c.slotAt(next, pageEnd); js != nil && rewrite.IsCmpJccPair(ins, js.ins) {
+				j, fall := js.ins, next+int64(js.size)
 				s := blockStep{
 					cc: jccCond[j.Op] - 1, r1: ins.R1, r2: ins.R2, imm: ins.Imm,
-					pc: fall, next: fall + j.Imm, pending: pending + 2,
+					pc: fall, next: fall + j.Imm, pending: int16(pending + 2),
 				}
 				switch ins.Op {
 				case visa.CMP:
@@ -893,7 +1059,7 @@ func (p *Process) compileBlock(start int64) *compiledBlock {
 					steps = append(steps, bindPureStep(kind, ins))
 					s = blockStep{
 						kind: kJcc, cc: jccCond[j.Op] - 1,
-						pc: fall, next: fall + j.Imm, pending: pending + 2,
+						pc: fall, next: fall + j.Imm, pending: int16(pending + 2),
 					}
 				}
 				steps = append(steps, s)
@@ -912,14 +1078,12 @@ func (p *Process) compileBlock(start int64) *compiledBlock {
 		// Peephole: load + register ALU op consuming the loaded value.
 		// The load delegates to its threaded handler (exact fault PC
 		// and the clobber-on-fault quirk); the ALU half runs inline.
-		if o2, n2, ok2 := p.fetchForCompile(next); ok2 && next < pageEnd &&
-			rewrite.IsLoadOpPair(ins, o2) {
-			if aluKind, okp := pureKind(o2.Op); okp {
-				after := next + int64(n2)
+		if s2 := c.slotAt(next, pageEnd); s2 != nil && rewrite.IsLoadOpPair(ins, s2.ins) {
+			if aluKind, okp := pureKind(s2.ins.Op); okp {
+				o2, after := s2.ins, next+int64(s2.size)
 				steps = append(steps, blockStep{
-					kind: kLoadOp, cc: aluKind, r1: o2.R1, r2: o2.R2,
-					h: opFuncs[ins.Op], ins: ins,
-					pc: pc, next: next, imm: after, pending: pending,
+					kind: kLoadOp, cc: aluKind, r1: o2.R1, r2: o2.R2, call: call(ins),
+					pc: pc, next: next, imm: after, pending: int16(pending),
 				})
 				maxRetire += pending + 2
 				pending = 0
@@ -933,7 +1097,7 @@ func (p *Process) compileBlock(start int64) *compiledBlock {
 		if kind, isMem := memKind(ins.Op); isMem {
 			steps = append(steps, blockStep{
 				kind: kind, r1: ins.R1, r2: ins.R2, imm: ins.Imm,
-				pc: pc, next: next, pending: pending,
+				pc: pc, next: next, pending: int16(pending),
 			})
 			maxRetire += pending + 1
 			pending = 0
@@ -944,8 +1108,8 @@ func (p *Process) compileBlock(start int64) *compiledBlock {
 		// Effect step: delegate to the threaded handler (exact fault
 		// semantics); the block loop credits pending and restores PC.
 		steps = append(steps, blockStep{
-			kind: kHandler, h: opFuncs[ins.Op], ins: ins,
-			pc: pc, next: next, pending: pending,
+			kind: kHandler, call: call(ins),
+			pc: pc, next: next, pending: int16(pending),
 		})
 		maxRetire += pending + maxRetireOf(ins.Op)
 		pending = 0
@@ -956,7 +1120,7 @@ func (p *Process) compileBlock(start int64) *compiledBlock {
 	// successor): credit any deferred retires and land PC on the next
 	// instruction. When pending is zero the last step already set PC.
 	if !done && pending > 0 {
-		steps = append(steps, blockStep{kind: kEnd, pc: pc, pending: pending})
+		steps = append(steps, blockStep{kind: kEnd, pc: pc, pending: int16(pending)})
 	}
 	if len(steps) == 0 {
 		return nil
@@ -964,5 +1128,5 @@ func (p *Process) compileBlock(start int64) *compiledBlock {
 
 	p.jit.compiled.Add(1)
 	p.jit.compileNanos.Add(time.Since(t0).Nanoseconds())
-	return &compiledBlock{epoch: epoch, steps: steps, maxRetire: maxRetire}
+	return &compiledBlock{epoch: epoch, steps: slices.Clone(steps), calls: slices.Clone(calls), maxRetire: maxRetire}
 }

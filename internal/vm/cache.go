@@ -1,7 +1,8 @@
-// Predecoded instruction cache: the fetch path of the threaded and
-// blockjit engines. The interpreter's fetch path calls visa.Decode on
-// raw bytes at every retired instruction; for long-running workloads
-// that is the dominant cost of the stand-in CPU. The cache decodes each
+// Predecoded instruction cache: the fetch path of the blockjit engine,
+// which also keeps its compiled blocks here. The interpreter's fetch
+// path calls visa.Decode on raw bytes at every retired instruction;
+// for long-running workloads that is the dominant cost of the stand-in
+// CPU. The cache decodes each
 // instruction once per executable-page generation into its fixed-size
 // internal form (visa.Instr, encoded length and handler) and dispatches
 // from the cache thereafter.
@@ -34,35 +35,28 @@ import (
 // Engine selects the instruction-fetch implementation of a Process.
 type Engine int
 
-// Engines. The zero value is the direct-threaded engine, so every
-// Process is fast by default; the plain interpreter remains available
-// as the reference semantics for differential testing.
+// Engines. The zero value is the block compiler, so every Process is
+// fast by default; the plain interpreter remains available as the
+// reference semantics for differential testing.
 const (
-	// EngineThreaded is the direct-threaded engine (see threaded.go):
-	// every cache slot carries the operation's func pointer alongside
-	// the predecoded instruction, so dispatch is one indirect call.
-	// Registered check transactions are predecoded as fused
-	// superinstructions (fused.go), the jmpr/callr/jrestore after a
-	// check joins its superinstruction, and sandbox-mask + store pairs
-	// become trace superinstructions.
-	EngineThreaded Engine = iota
+	// EngineBlockJIT dispatches predecoded instructions from the page
+	// cache through their threaded handlers (threaded.go) and compiles
+	// hot straight-line blocks into traces of pre-bound steps
+	// (blockjit.go), so hot code makes one dispatch per block instead
+	// of per instruction. Registered check transactions are predecoded
+	// as fused superinstructions (fused.go), the jmpr/callr/jrestore
+	// after a check joins its superinstruction, and sandbox-mask +
+	// store pairs become trace superinstructions.
+	EngineBlockJIT Engine = iota
 	// EngineInterp decodes raw bytes at every retired instruction.
 	EngineInterp
-	// EngineBlockJIT is the threaded engine plus a profile-guided
-	// fill-time block compiler (see blockjit.go): straight-line basic
-	// blocks whose execution count crosses the JIT threshold are
-	// compiled into a trace of steps with operands pre-bound, so the
-	// run loop makes one dispatch per block instead of per
-	// instruction. Cold code falls back to threaded dispatch.
-	EngineBlockJIT
 )
 
-// Engines returns every engine: the reference interpreter, direct
-// threading, block compilation. Differential tests
-// iterate this list so a newly added engine cannot silently drop out
-// of coverage.
+// Engines returns every engine: the reference interpreter and the
+// block compiler. Differential tests iterate this list so a newly
+// added engine cannot silently drop out of coverage.
 func Engines() []Engine {
-	return []Engine{EngineInterp, EngineThreaded, EngineBlockJIT}
+	return []Engine{EngineInterp, EngineBlockJIT}
 }
 
 // EngineNames returns the flag names of every engine, in Engines()
@@ -80,19 +74,16 @@ func EngineNames() []string {
 // String names the engine (flag syntax of cmd/mcfi-run and
 // cmd/mcfi-bench).
 func (e Engine) String() string {
-	switch e {
-	case EngineInterp:
+	if e == EngineInterp {
 		return "interp"
-	case EngineBlockJIT:
-		return "blockjit"
 	}
-	return "threaded"
+	return "blockjit"
 }
 
 // ParseEngine parses the -engine flag syntax.
 func ParseEngine(s string) (Engine, error) {
 	if s == "" {
-		return EngineThreaded, nil
+		return EngineBlockJIT, nil
 	}
 	for _, e := range Engines() {
 		if s == e.String() {
@@ -108,9 +99,22 @@ func ParseEngine(s string) (Engine, error) {
 // written, so concurrent guest threads can share one cache; fills take
 // the mutex (slow path only — each slot is decoded once per page
 // generation).
+//
+// The block compiler's state for the page hangs off the same struct,
+// so the cold path's one page-table load serves both the slot and the
+// block lookup, and every invalidation that drops a page's decoded
+// instructions drops its compiled blocks with them.
 type pageCache struct {
 	mu    sync.Mutex
 	valid [PageSize / 32]uint32
+	// direct marks the valid slots the block compiler's run loop
+	// dispatches straight away: every one but the compiled block
+	// starts, so the loop looks for a block only where one is.
+	direct [PageSize / 32]uint32
+	// jit holds the page's compiled blocks; nil until the page's first
+	// compile, and dropped on its own by extent invalidation
+	// (BumpCheckEpochExtent).
+	jit   atomic.Pointer[jitPage]
 	slots [PageSize]cacheSlot
 }
 
@@ -175,6 +179,7 @@ func (p *Process) cacheFill(pc int64) (*visa.Instr, int, error) {
 	if atomic.LoadUint32(word)&bit == 0 {
 		c.slots[off] = cacheSlot{ins: ins, size: uint8(n), fn: opFuncs[ins.Op]}
 		atomic.StoreUint32(word, atomic.LoadUint32(word)|bit)
+		setBits(&c.direct[off>>5], bit)
 	}
 	c.mu.Unlock()
 	return &c.slots[off].ins, n, nil
@@ -182,8 +187,8 @@ func (p *Process) cacheFill(pc int64) (*visa.Instr, int, error) {
 
 // invalidate drops the decode cache of pages [first-1, last) — one
 // page before the changed range because a variable-length instruction
-// cached there may span into it. The block compiler's pages drop on
-// the same bounds: a compiled block contains only instructions that
+// cached there may span into it. Compiled blocks live in the page
+// cache and drop with it: a block contains only instructions that
 // start inside its own page, so the one-page-back rule covers every
 // block that could span the changed range. (Protect additionally
 // bumps the check epoch over the same extent, so cached verdicts
@@ -197,7 +202,6 @@ func (p *Process) invalidate(first, last int64) {
 	}
 	for pg := first; pg < last && pg < int64(len(p.icache)); pg++ {
 		p.icache[pg].Store(nil)
-		p.jit.pages[pg].Store(nil)
 	}
 }
 
@@ -207,3 +211,23 @@ func (p *Process) SetEngine(e Engine) { p.engine = e }
 
 // Engine reports the process's fetch implementation.
 func (p *Process) Engine() Engine { return p.engine }
+
+// setBits atomically sets bits in *w.
+func setBits(w *uint32, bits uint32) {
+	for {
+		old := atomic.LoadUint32(w)
+		if old&bits == bits || atomic.CompareAndSwapUint32(w, old, old|bits) {
+			return
+		}
+	}
+}
+
+// clearBits atomically clears bits in *w.
+func clearBits(w *uint32, bits uint32) {
+	for {
+		old := atomic.LoadUint32(w)
+		if old&bits == 0 || atomic.CompareAndSwapUint32(w, old, old&^bits) {
+			return
+		}
+	}
+}

@@ -111,7 +111,7 @@ func TestEnginesRetireIdenticalStreams(t *testing.T) {
 
 	run := func(e Engine) (int64, int64) {
 		p := NewProcess()
-		p.SetEngine(e)
+		useEngine(p, e)
 		copy(p.Mem[visa.CodeBase:], a.Code)
 		p.Protect(visa.CodeBase, PageSize, visa.ProtRead|visa.ProtExec)
 		p.Protect(visa.DataBase, 1<<16, visa.ProtRead|visa.ProtWrite)
@@ -126,7 +126,7 @@ func TestEnginesRetireIdenticalStreams(t *testing.T) {
 	if is != 5050 {
 		t.Fatalf("interp sum = %d, want 5050", is)
 	}
-	for _, e := range Engines() {
+	for _, e := range testEngines() {
 		if ei, es := run(e); ei != ii || es != is {
 			t.Errorf("engines diverge: %s (instret=%d sum=%d) vs interp (instret=%d sum=%d)",
 				e, ei, es, ii, is)

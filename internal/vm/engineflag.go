@@ -7,16 +7,6 @@ import "strings"
 // so the set of valid names, the error message enumerating them, and
 // the flag help text all come from one place.
 
-// ParseEngineDefault parses an engine name, mapping the empty string
-// to def instead of EngineThreaded — the form servers use so "engine
-// omitted from the request" picks the service default.
-func ParseEngineDefault(s string, def Engine) (Engine, error) {
-	if s == "" {
-		return def, nil
-	}
-	return ParseEngine(s)
-}
-
 // EngineUsage returns flag help text for an -engine flag.
 func EngineUsage() string {
 	return "dispatch engine: " + strings.Join(EngineNames(), ", ")
@@ -24,7 +14,7 @@ func EngineUsage() string {
 
 // EngineFlag is a flag.Value for -engine flags:
 //
-//	engine := vm.EngineThreaded
+//	engine := vm.EngineBlockJIT
 //	flag.Var((*vm.EngineFlag)(&engine), "engine", vm.EngineUsage())
 //
 // Invalid names fail at flag-parse time with the same enumerated

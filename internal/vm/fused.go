@@ -102,13 +102,12 @@ type fusedState struct {
 
 // RegisterCheckSites tells the process where canonical check
 // transactions start (absolute guest addresses of their and32 masks).
-// The threaded and blockjit engines predecode each into one
-// superinstruction; the interpreter ignores the registration. Safe to
-// call while threads run (the dlopen path registers freshly loaded
-// modules). Addresses already registered are skipped; addresses that
-// do not actually hold the canonical byte sequence are harmless —
-// predecode re-verifies with rewrite.MatchCheck and falls back to
-// plain decoding.
+// The blockjit engine predecodes each into one superinstruction; the
+// interpreter ignores the registration. Safe to call while threads run
+// (the dlopen path registers freshly loaded modules). Addresses
+// already registered are skipped; addresses that do not actually hold
+// the canonical byte sequence are harmless — predecode re-verifies with
+// rewrite.MatchCheck and falls back to plain decoding.
 func (p *Process) RegisterCheckSites(starts []int64) {
 	f := &p.fused
 	f.mu.Lock()
@@ -146,10 +145,10 @@ func (p *Process) BumpCheckEpoch() {
 // BumpCheckEpochExtent is the delta-update variant: it invalidates
 // every cached check verdict (verdicts are cheap to recompute and may
 // depend on any table word, so the epoch still bumps), but instead of
-// condemning every compiled block it drops only the block-compiler
-// pages overlapping [lo, hi) — the discard floor stays put, so blocks
-// outside the changed extent survive a dlopen. Sound because a block
-// embeds only code bytes and pre-bound handlers, never a check
+// condemning every compiled block it drops only the compiled blocks
+// of the pages overlapping [lo, hi) — the discard floor stays put, so
+// blocks outside the changed extent survive a dlopen. Sound because a
+// block embeds only code bytes and pre-bound handlers, never a check
 // verdict: fused check steps re-validate against the tables (and the
 // new epoch) at execution time, so a surviving block cannot replay a
 // pre-update verdict.
@@ -160,8 +159,10 @@ func (p *Process) BumpCheckEpochExtent(lo, hi int64) {
 		first-- // a block one page back may span into the extent
 	}
 	last := (hi + PageSize - 1) / PageSize
-	for pg := first; pg >= 0 && pg < last && pg < int64(len(p.jit.pages)); pg++ {
-		p.jit.pages[pg].Store(nil)
+	for pg := first; pg >= 0 && pg < last && pg < int64(len(p.icache)); pg++ {
+		if c := p.icache[pg].Load(); c != nil {
+			c.dropBlocks()
+		}
 	}
 }
 

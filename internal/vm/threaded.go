@@ -1,15 +1,12 @@
-// Direct-threaded dispatch engine. Instead of decoding and switching
-// on the opcode at every step, EngineThreaded stores each slot's
-// operation func pointer alongside the predecoded visa.Instr in the
-// instruction cache (cache.go), so executing one instruction is a
-// single indirect call. The engine's run loop also hoists the
-// exit/cancel/budget polling out of the per-instruction path: the
-// inner loop runs straight-line until the same 1024-retired-instruction
-// watermark the interpreter's Run loop uses, so cancellation latency is
-// unchanged.
+// Direct-threaded handlers: blockjit's cold path. Instead of decoding
+// and switching on the opcode at every step, each instruction-cache
+// slot (cache.go) stores its operation's func pointer alongside the
+// predecoded visa.Instr, so executing one cold instruction is a single
+// indirect call; compiled blocks (blockjit.go) call the same handlers
+// for every step that can fault or leave the VM, so fault semantics
+// live in exactly one place.
 //
-// On top of pointer dispatch the threaded engine fuses two sequence
-// shapes at icache-fill time:
+// On top of pointer dispatch the fill path fuses two sequence shapes:
 //
 //   - check + indirect branch: the jmpr/callr/jrestore following a
 //     fused check transaction (plus the rewriter's alignment NOPs)
@@ -29,9 +26,7 @@
 package vm
 
 import (
-	"fmt"
 	"math"
-	"sync/atomic"
 
 	"mcfi/internal/rewrite"
 	"mcfi/internal/visa"
@@ -42,6 +37,11 @@ import (
 // too), performs it, and sets t.PC to the continuation on success. On a
 // fault it returns the *Fault with t.PC still naming the faulting
 // instruction. next is pc plus the slot's encoded size.
+//
+// A handler that transfers control — a jump, a taken branch, a call or
+// return, a check whose branch folded into it — reports the target to
+// the block compiler's profile (Thread.noteStart), so the run loop
+// itself never has to tell block starts from straight-line code.
 type stepFn func(t *Thread, ins *visa.Instr, pc, next int64) error
 
 // opFuncs maps every opcode (including the fused pseudo-opcodes) to
@@ -72,11 +72,11 @@ func init() {
 	})
 	f(opFusedCheck, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++ // the leading and32
-		return t.stepFused(pc, ins)
+		return t.noteTransfer(next, t.stepFused(pc, ins))
 	})
 	f(opFusedCheckPLT, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++ // the leading movi (GOT address)
-		return t.stepFusedPLT(pc, ins)
+		return t.noteTransfer(next, t.stepFusedPLT(pc, ins))
 	})
 	f(opTraceMaskStore, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++ // the leading andi (sandbox mask)
@@ -361,6 +361,7 @@ func init() {
 	f(visa.JMP, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++
 		t.PC = next + ins.Imm
+		t.noteStart(t.PC)
 		return nil
 	})
 	f(visa.CALL, func(t *Thread, ins *visa.Instr, pc, next int64) error {
@@ -369,6 +370,7 @@ func init() {
 			return err
 		}
 		t.PC = next + ins.Imm
+		t.noteStart(t.PC)
 		return nil
 	})
 	f(visa.CALLR, func(t *Thread, ins *visa.Instr, pc, next int64) error {
@@ -377,11 +379,13 @@ func init() {
 			return err
 		}
 		t.PC = t.Reg[ins.R1]
+		t.noteStart(t.PC)
 		return nil
 	})
 	f(visa.JMPR, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++
 		t.PC = t.Reg[ins.R1]
+		t.noteStart(t.PC)
 		return nil
 	})
 	f(visa.RET, func(t *Thread, ins *visa.Instr, pc, next int64) error {
@@ -391,6 +395,7 @@ func init() {
 			return err
 		}
 		t.PC = v
+		t.noteStart(v)
 		return nil
 	})
 	f(visa.PUSH, func(t *Thread, ins *visa.Instr, pc, next int64) error {
@@ -423,7 +428,7 @@ func init() {
 		if t.P.exited.Load() {
 			return ErrExited
 		}
-		return nil // the handler may have redirected t.PC
+		return t.noteTransfer(next, nil) // the handler may have redirected t.PC
 	})
 
 	// Floating point and conversions.
@@ -564,6 +569,7 @@ func init() {
 		t.Reg[visa.SP] = t.Reg[ins.R1]
 		t.Reg[visa.FP] = t.Reg[ins.R2]
 		t.PC = t.Reg[ins.R3]
+		t.noteStart(t.PC)
 		return nil
 	})
 }
@@ -576,69 +582,22 @@ func stepBadOp(t *Thread, ins *visa.Instr, pc, next int64) error {
 func stepJcc(t *Thread, ins *visa.Instr, pc, next int64) error {
 	t.Instret++
 	if cc := jccCond[ins.Op]; cc != 0 && t.cond(cc-1) {
-		next += ins.Imm
+		t.PC = next + ins.Imm
+		t.noteStart(t.PC)
+		return nil
 	}
 	t.PC = next
 	return nil
 }
 
-// runThreaded is EngineThreaded's run loop. The outer block performs
-// exactly the checks the interpreter's Run loop does at its poll
-// points — budget, exit, cancellation, counter flush — and the inner
-// loop then executes without per-step checks until the next
-// watermark: the same 1024-retired-instruction cadence, with the
-// budget clamped in so exhaustion is detected on the precise
-// instruction, not at the next flush. The fetch is open-coded in the
-// loop (rather than a helper call) because the call itself is
-// measurable at this dispatch rate; the unsigned page-index compare
-// folds the pc<0 check into the bounds check.
-func (t *Thread) runThreaded(maxInstr int64) error {
-	p := t.P
-	icache := p.icache
-	for {
-		if maxInstr > 0 && t.Instret >= maxInstr {
-			return fmt.Errorf("%w (limit %d)", ErrBudget, maxInstr)
-		}
-		if p.exited.Load() {
-			return ErrExited
-		}
-		if p.cancelled.Load() {
-			return ErrCancelled
-		}
-		t.flushCounters()
-		limit := t.flushed + 1024
-		if maxInstr > 0 && maxInstr < limit {
-			limit = maxInstr
-		}
-		for t.Instret < limit {
-			pc := t.PC
-			if pg := uint64(pc) / PageSize; pg < uint64(len(icache)) {
-				if c := icache[pg].Load(); c != nil {
-					off := int(pc & (PageSize - 1))
-					if atomic.LoadUint32(&c.valid[off>>5])&(uint32(1)<<(off&31)) != 0 {
-						s := &c.slots[off]
-						if err := s.fn(t, &s.ins, pc, pc+int64(s.size)); err != nil {
-							return err
-						}
-						continue
-					}
-				}
-			}
-			// Miss: check executability, fill the slot, dispatch once
-			// from the fill result (the slot may not have been cached if
-			// the page raced an invalidation).
-			if p.Prot(pc)&visa.ProtExec == 0 {
-				return t.fault(FaultExec, "pc %#x not executable", pc)
-			}
-			ins, size, err := p.cacheFill(pc)
-			if err != nil {
-				return t.fault(FaultDecode, "%v", err)
-			}
-			if err := opFuncs[ins.Op](t, ins, pc, pc+int64(size)); err != nil {
-				return err
-			}
-		}
+// noteTransfer profiles t.PC as a block start when a handler that may
+// transfer control did (it left PC off next without faulting), and
+// returns the handler's result.
+func (t *Thread) noteTransfer(next int64, err error) error {
+	if err == nil && t.PC != next {
+		t.noteStart(t.PC)
 	}
+	return err
 }
 
 // tryFuseTrace upgrades a freshly decoded instruction into a trace

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 
@@ -9,6 +10,26 @@ import (
 	"mcfi/internal/tables"
 	"mcfi/internal/visa"
 )
+
+// engineCold is blockjit with compilation disabled (a threshold above
+// math.MaxUint32): every instruction runs on its threaded handler, so
+// the tests that use it cover the fused checks, the verdict cache, the
+// PLT checks and the trace superinstructions without compiled blocks.
+// It is a test-only Engine value; useEngine applies it.
+const engineCold = Engine(-1)
+
+// useEngine selects e for p, mapping engineCold to its configuration.
+func useEngine(p *Process, e Engine) {
+	if e == engineCold {
+		p.SetEngine(EngineBlockJIT)
+		p.SetJITThreshold(math.MaxInt64)
+		return
+	}
+	p.SetEngine(e)
+}
+
+// testEngines returns every engine plus engineCold.
+func testEngines() []Engine { return append(Engines(), engineCold) }
 
 // checkBlob assembles one instrumented tail-jump check (movi r11,
 // target; check; jmpr r11 is left to the caller's prelude) and patches
@@ -118,7 +139,7 @@ func spinProcess(t *testing.T, e Engine, between ...visa.Instr) (*Process, int64
 
 	p := NewProcess()
 	p.Tables = tb
-	p.SetEngine(e)
+	useEngine(p, e)
 	tb.OnUpdate(p.BumpCheckEpoch)
 	copy(p.Mem[0x1000:], code)
 	p.Protect(0x1000, int64(len(code)), visa.ProtRead|visa.ProtExec)
@@ -156,7 +177,8 @@ func checkSlot(t *testing.T, p *Process, pc int64) visa.Instr {
 }
 
 // TestThreadedCheckMatchesInterp runs the same check over a grid of
-// (branch, target) pairs under the interp and threaded engines and
+// (branch, target) pairs under the interpreter and the threaded
+// handlers (engineCold) and
 // demands identical architectural outcomes: fault kind and PC, retired
 // count, continuation PC, the MCFI scratch registers, and the flags.
 // The blob is a tail-jump check whose jmpr folds into the
@@ -173,7 +195,7 @@ func TestThreadedCheckMatchesInterp(t *testing.T) {
 		code, site := checkBlob(t, tb, branch)
 		p := NewProcess()
 		p.Tables = tb
-		p.SetEngine(e)
+		useEngine(p, e)
 		for i := visa.CodeBase; i < visa.CodeBase+codeLimit; i++ {
 			p.Mem[i] = byte(visa.HLT)
 		}
@@ -198,7 +220,7 @@ func TestThreadedCheckMatchesInterp(t *testing.T) {
 	for branch := 0; branch < 8; branch++ {
 		for _, target := range targets {
 			want, _ := run(EngineInterp, branch, target)
-			got, tth := run(EngineThreaded, branch, target)
+			got, tth := run(engineCold, branch, target)
 			if want != got {
 				t.Errorf("branch %d target %#x:\n  interp:   %+v\n  threaded: %+v",
 					branch, target, want, got)
@@ -219,7 +241,7 @@ func TestThreadedCheckMatchesInterp(t *testing.T) {
 func TestThreadedVerdictFoldInstret(t *testing.T) {
 	const iters = 1000
 	ith, _ := runSpin(t, EngineInterp, 7*iters)
-	tth, checkStart := runSpin(t, EngineThreaded, 7*iters)
+	tth, checkStart := runSpin(t, engineCold, 7*iters)
 	if ins := checkSlot(t, tth.P, checkStart); visa.Op(ins.R1) != visa.JMPR {
 		t.Errorf("check slot folds %#x, want jmpr", ins.R1)
 	}
@@ -246,7 +268,7 @@ func TestFusedVerdictCacheHitsAndInstret(t *testing.T) {
 	// so both engines stop at the same architectural point.
 	const iters = 1000
 	ith, _ := runSpin(t, EngineInterp, 8*iters, unfolded)
-	fth, checkStart := runSpin(t, EngineThreaded, 8*iters, unfolded)
+	fth, checkStart := runSpin(t, engineCold, 8*iters, unfolded)
 	if ins := checkSlot(t, fth.P, checkStart); ins.R1 != 0 {
 		t.Fatalf("check slot folds %#x, want no fold", ins.R1)
 	}
@@ -279,7 +301,7 @@ func TestFusedVerdictCacheHitsAndInstret(t *testing.T) {
 // re-load the tables and halt; a verdict surviving the version bump
 // would let an old-CFG edge through the new CFG.
 func TestFusedVerdictDiesOnUpdate(t *testing.T) {
-	p, checkStart := spinProcess(t, EngineThreaded)
+	p, checkStart := spinProcess(t, engineCold)
 	th := p.NewThread(0x1000, visa.SandboxSize-64)
 	if err := th.Run(700); err != nil {
 		if _, ok := err.(*Fault); ok {
@@ -324,7 +346,7 @@ func TestFusedVerdictDiesOnUpdate(t *testing.T) {
 // Under -race this also exercises the verdict-cache/update-transaction
 // interleavings.
 func TestFusedRetriesThroughUpdate(t *testing.T) {
-	p, checkStart := spinProcess(t, EngineThreaded, unfolded)
+	p, checkStart := spinProcess(t, engineCold, unfolded)
 	tb := p.Tables
 	th := p.NewThread(0x1000, visa.SandboxSize-64)
 
@@ -372,7 +394,7 @@ func TestFusedFallbackOnNonCanonicalSite(t *testing.T) {
 		tb := tables.New(1<<14, 8)
 		p := NewProcess()
 		p.Tables = tb
-		p.SetEngine(e)
+		useEngine(p, e)
 		copy(p.Mem[0x1000:], a.Code)
 		p.Protect(0x1000, int64(len(a.Code)), visa.ProtRead|visa.ProtExec)
 		p.RegisterCheckSites([]int64{0x1000}) // bogus: not a check
@@ -385,7 +407,7 @@ func TestFusedFallbackOnNonCanonicalSite(t *testing.T) {
 	}
 
 	ith := run(EngineInterp)
-	fth := run(EngineThreaded)
+	fth := run(engineCold)
 	if ith.Instret != fth.Instret || ith.Reg[visa.R1] != fth.Reg[visa.R1] {
 		t.Errorf("fallback diverges: interp (instret=%d r1=%d) threaded (instret=%d r1=%d)",
 			ith.Instret, ith.Reg[visa.R1], fth.Instret, fth.Reg[visa.R1])
@@ -427,7 +449,7 @@ func TestThreadedFoldedCallr(t *testing.T) {
 		code, site := callrBlob(t, tb, 0)
 		p := NewProcess()
 		p.Tables = tb
-		p.SetEngine(e)
+		useEngine(p, e)
 		for i := visa.CodeBase; i < visa.CodeBase+codeLimit; i++ {
 			p.Mem[i] = byte(visa.HLT)
 		}
@@ -443,7 +465,7 @@ func TestThreadedFoldedCallr(t *testing.T) {
 	// Passing call: lands on the HLT carpet with the return address
 	// pushed; compare the stack word too.
 	wantOut, wantTh, wantP := run(EngineInterp, 0x1000, visa.SandboxSize-64)
-	gotOut, gotTh, gotP := run(EngineThreaded, 0x1000, visa.SandboxSize-64)
+	gotOut, gotTh, gotP := run(engineCold, 0x1000, visa.SandboxSize-64)
 	if wantOut != gotOut {
 		t.Errorf("pass: interp %+v != threaded %+v", wantOut, gotOut)
 	}
@@ -463,7 +485,7 @@ func TestThreadedFoldedCallr(t *testing.T) {
 
 	// Faulting push: SP in the unmapped guard band.
 	wantOut, _, _ = run(EngineInterp, 0x1000, 8)
-	gotOut, _, _ = run(EngineThreaded, 0x1000, 8)
+	gotOut, _, _ = run(engineCold, 0x1000, 8)
 	if wantOut != gotOut {
 		t.Errorf("push fault: interp %+v != threaded %+v", wantOut, gotOut)
 	}
@@ -493,7 +515,7 @@ func pltBlob(t *testing.T, tb *tables.Tables, branch int, gotAddr int64, between
 }
 
 // TestThreadedPLTCheckMatchesInterp runs the PLT-stub template over the
-// (branch, target) grid on the threaded engine: the GOT
+// (branch, target) grid on the threaded handlers: the GOT
 // slot holds the target, the stub reloads it each round, and both the
 // pass and halt paths must match interp bit-exactly — as must a GOT
 // slot on an unmapped page, whose ld64 faults mid-superinstruction.
@@ -510,7 +532,7 @@ func TestThreadedPLTCheckMatchesInterp(t *testing.T) {
 		code := pltBlob(t, tb, branch, gotAddr, between...)
 		p := NewProcess()
 		p.Tables = tb
-		p.SetEngine(e)
+		useEngine(p, e)
 		for i := visa.CodeBase; i < visa.CodeBase+codeLimit; i++ {
 			p.Mem[i] = byte(visa.HLT)
 		}
@@ -541,7 +563,7 @@ func TestThreadedPLTCheckMatchesInterp(t *testing.T) {
 		for branch := 0; branch < 4; branch++ {
 			for _, target := range targets {
 				want, _ := run(EngineInterp, branch, target, gotPage)
-				got, th := run(EngineThreaded, branch, target, gotPage)
+				got, th := run(engineCold, branch, target, gotPage)
 				if want != got {
 					t.Errorf("between %v branch %d target %#x:\n  interp:   %+v\n  threaded: %+v",
 						between, branch, target, want, got)
@@ -557,7 +579,7 @@ func TestThreadedPLTCheckMatchesInterp(t *testing.T) {
 		}
 		// GOT slot on an unmapped page: the ld64 reload faults.
 		want, _ := run(EngineInterp, 0, 0x1000, int64(visa.SandboxSize))
-		got, _ := run(EngineThreaded, 0, 0x1000, int64(visa.SandboxSize))
+		got, _ := run(engineCold, 0, 0x1000, int64(visa.SandboxSize))
 		if want != got {
 			t.Errorf("between %v GOT fault: interp %+v != threaded %+v", between, want, got)
 		}
@@ -599,7 +621,7 @@ func TestThreadedPLTVerdictCache(t *testing.T) {
 		code := pltBlob(t, tb, 0, gotPage)
 		p := NewProcess()
 		p.Tables = tb
-		p.SetEngine(e)
+		useEngine(p, e)
 		copy(p.Mem[stub:], code)
 		p.Protect(stub, int64(len(code)), visa.ProtRead|visa.ProtExec)
 		p.Protect(gotPage, PageSize, visa.ProtRead|visa.ProtWrite)
@@ -613,7 +635,7 @@ func TestThreadedPLTVerdictCache(t *testing.T) {
 	}
 
 	ith, ierr := run(EngineInterp)
-	tth, terr := run(EngineThreaded)
+	tth, terr := run(engineCold)
 	if _, ok := ierr.(*Fault); ok {
 		t.Fatalf("interp PLT spin faulted: %v", ierr)
 	}
@@ -651,7 +673,7 @@ func TestThreadedTraceMaskStore(t *testing.T) {
 	run := func(e Engine, dst int64, writable bool) (runOutcome, *Process, *Thread) {
 		code := build(dst)
 		p := NewProcess()
-		p.SetEngine(e)
+		useEngine(p, e)
 		copy(p.Mem[0x1000:], code)
 		p.Protect(0x1000, int64(len(code)), visa.ProtRead|visa.ProtExec)
 		prot := uint32(visa.ProtRead)
@@ -676,7 +698,7 @@ func TestThreadedTraceMaskStore(t *testing.T) {
 		{"mask-applies", 0x4000 | (1 << 40), true},
 	} {
 		want, wp, wth := run(EngineInterp, c.dst, c.writable)
-		got, gp, gth := run(EngineThreaded, c.dst, c.writable)
+		got, gp, gth := run(engineCold, c.dst, c.writable)
 		if want != got {
 			t.Errorf("%s: interp %+v != threaded %+v", c.name, want, got)
 		}
@@ -693,7 +715,7 @@ func TestThreadedTraceMaskStore(t *testing.T) {
 	}
 }
 
-// TestThreadedFillInvalidateRace drives the threaded engine's
+// TestThreadedFillInvalidateRace drives the threaded handlers'
 // fill/fold path while a host goroutine keeps flipping the code
 // pages' protection (the dlopen rebasing pattern) and re-registering
 // check sites. Under -race this exercises slot publication against
@@ -701,7 +723,7 @@ func TestThreadedTraceMaskStore(t *testing.T) {
 // protection transition leaves the code executable again and the
 // epoch bump only forces re-validation.
 func TestThreadedFillInvalidateRace(t *testing.T) {
-	p, checkStart := spinProcess(t, EngineThreaded)
+	p, checkStart := spinProcess(t, engineCold)
 	tb := p.Tables
 	th := p.NewThread(0x1000, visa.SandboxSize-64)
 

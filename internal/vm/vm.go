@@ -11,15 +11,15 @@
 // is the deterministic cost metric behind the Fig. 5/6 overhead
 // experiments (extra executed instrumentation = overhead).
 //
-// The three engines, enumerated by Engines() in cache.go, all retire
-// the exact same instruction stream, so the cost metric is
+// The two engines, enumerated by Engines() in cache.go, retire the
+// exact same instruction stream, so the cost metric is
 // engine-independent: EngineInterp decodes raw bytes every step and is
-// the reference semantics; EngineThreaded, the default, predecodes into
-// a per-page instruction cache and dispatches through per-slot func
-// pointers, with check-transaction superinstructions (fused.go), branch
-// folding and trace superinstructions (threaded.go); EngineBlockJIT
-// compiles hot straight-line blocks into traces of pre-bound steps
-// (blockjit.go).
+// the reference semantics; EngineBlockJIT, the default, predecodes into
+// a per-page instruction cache and dispatches cold code through
+// per-slot func pointers to the threaded handlers, with
+// check-transaction superinstructions (fused.go), branch folding and
+// trace superinstructions (threaded.go), and compiles hot straight-line
+// blocks into traces of pre-bound steps (blockjit.go).
 //
 // Every engine reaches guest memory through one accessor per width and
 // direction (load8 … store64), with one contract: the range check
@@ -178,8 +178,9 @@ type Process struct {
 	// Handler interposes on system calls.
 	Handler SyscallHandler
 
-	// engine selects the fetch implementation (default EngineThreaded);
-	// icache is the per-page predecoded instruction cache it uses.
+	// engine selects the fetch implementation (default EngineBlockJIT);
+	// icache is the per-page predecoded instruction cache it uses, and
+	// holds the compiled blocks too.
 	engine Engine
 	icache []atomic.Pointer[pageCache]
 
@@ -187,8 +188,8 @@ type Process struct {
 	// cache, and the invalidation epoch (see fused.go).
 	fused fusedState
 
-	// jit holds the block compiler's profiling counters, compiled
-	// blocks, and threshold (EngineBlockJIT; see blockjit.go).
+	// jit holds the block compiler's threshold, discard floor and
+	// counters (EngineBlockJIT; see blockjit.go).
 	jit jitState
 
 	exited   atomic.Bool
@@ -216,7 +217,7 @@ type Process struct {
 	pltExecs    atomic.Int64
 
 	// icacheFills counts cold predecodes into the per-page instruction
-	// cache — the cache-miss side of threaded and blockjit, exported for
+	// cache — blockjit's cache-miss side, exported for
 	// tracing (a first run on a replica shows a fill burst; a warm
 	// verdict-cached run shows none).
 	icacheFills atomic.Int64
@@ -235,7 +236,6 @@ func NewProcess() *Process {
 		joinable: map[int64]chan int64{},
 		cancelCh: make(chan struct{}),
 	}
-	p.jit.pages = make([]atomic.Pointer[jitPage], sandboxPages)
 	p.attachSandbox()
 	return p
 }
@@ -321,7 +321,7 @@ func (p *Process) CancelChan() <-chan struct{} { return p.cancelCh }
 // check-transaction counters (the serving /metrics source).
 type CheckStats struct {
 	// Execs counts fused check transactions executed (superinstruction
-	// dispatches under threaded and blockjit; interp retires checks as
+	// dispatches under blockjit; interp retires checks as
 	// ordinary instructions, which do not count here).
 	Execs int64
 	// Halts counts halted checks — CFI faults — under every engine.
@@ -344,7 +344,8 @@ type CheckStats struct {
 	// dispatches and JITColdSteps single-instruction (cold or
 	// budget-edge) dispatches, so hot/cold ratio is
 	// BlockRuns/(BlockRuns+ColdSteps); JITDiscards counts blocks
-	// dropped at dispatch because the check epoch moved.
+	// dropped, at dispatch or on recompilation, because the check
+	// epoch moved.
 	JITBlocks       int64
 	JITCompileNanos int64
 	JITBlockRuns    int64
@@ -444,6 +445,12 @@ type Thread struct {
 	JITColdSteps     int64
 	flushedBlockRuns int64
 	flushedColdSteps int64
+
+	// startHits is the block compiler's profile: entries per block
+	// start, hashed by pc (startHash), counted toward startThreshold
+	// (0 while no block may be compiled). See Thread.noteStart.
+	startHits      [1 << startHashBits]uint32
+	startThreshold uint32
 }
 
 // NewThread creates a thread with its stack pointer set.
@@ -685,10 +692,7 @@ func (t *Thread) flushCounters() {
 // skips values and an exact-multiple test would miss flushes.
 func (t *Thread) Run(maxInstr int64) error {
 	defer t.flushCounters()
-	switch t.P.engine {
-	case EngineThreaded:
-		return t.runThreaded(maxInstr)
-	case EngineBlockJIT:
+	if t.P.engine == EngineBlockJIT {
 		return t.runBlockJIT(maxInstr)
 	}
 	// EngineInterp: step the reference interpreter.

@@ -1,15 +1,16 @@
-// Race-hardening test for the check-fusing engines: an instrumented
-// workload runs on each while a host goroutine issues table update
+// Race-hardening test for the check-fusing engine: an instrumented
+// workload runs on blockjit, with compilation disabled and with a
+// compile-eager threshold, while a host goroutine issues table update
 // transactions as fast as it can — the dynamic-linking scenario,
 // compressed. Under `go test -race` this exercises every interleaving
-// of an engine's caches with the storm: the epoch hook fires inside the
-// update lock while guest threads read it lock-free, the bounded host
-// retry loop hands version storms back to per-instruction stepping,
-// and the fill path publishes handlers and scans folds past check
-// spans against concurrent epoch bumps and slot invalidation
-// (threaded); blocks are compiled, dispatched epoch-stamped, discarded
-// and recompiled (blockjit, with a compile-eager threshold so hot
-// blocks are genuinely compiled). A cache that survived an epoch bump
+// of the engine's caches with the storm: the epoch hook fires inside
+// the update lock while guest threads read it lock-free, the bounded
+// host retry loop hands version storms back to per-instruction
+// stepping, and the fill path publishes handlers and scans folds past
+// check spans against concurrent epoch bumps and slot invalidation
+// (on the threaded handlers alone); blocks are compiled, dispatched
+// epoch-stamped, discarded and recompiled (with the eager threshold,
+// so hot blocks are genuinely compiled). A cache that survived an epoch bump
 // would replay a stale check verdict; the differential assertion
 // against the interpreter catches exactly that.
 package mcfi
@@ -44,22 +45,16 @@ func TestEnginesUnderUpdateStorm(t *testing.T) {
 	ref := runWithEngine(t, img, vm.EngineInterp)
 
 	for _, c := range []struct {
-		engine vm.Engine
-		// threshold is the block-compile threshold (0 = default).
-		threshold int64
-		// check asserts what only this engine's counters can show,
-		// given the runtime that ran under the storm.
+		engineConfig
+		// check asserts what only this configuration's counters can
+		// show, given the runtime that ran under the storm.
 		check func(t *testing.T, img *linker.Image, storm *mrt.Runtime)
 	}{
-		{engine: vm.EngineThreaded},
-		{engine: vm.EngineBlockJIT, threshold: 4, check: checkBlockJITStorm},
+		{engineConfig: engineConfig{engine: vm.EngineBlockJIT, threshold: coldThreshold}},
+		{engineConfig: engineConfig{engine: vm.EngineBlockJIT, threshold: 4}, check: checkBlockJITStorm},
 	} {
-		t.Run(c.engine.String(), func(t *testing.T) {
-			rt, err := mrt.New(img, mrt.Options{Engine: c.engine})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rt.Proc.SetJITThreshold(c.threshold)
+		t.Run(c.String(), func(t *testing.T) {
+			rt := c.start(t, img)
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
 			wg.Add(1)
@@ -83,7 +78,7 @@ func TestEnginesUnderUpdateStorm(t *testing.T) {
 			}
 			if code != ref.code || rt.Output() != ref.output {
 				t.Errorf("under updates diverges from interp:\n  interp: code=%d out=%q\n  %s: code=%d out=%q",
-					ref.code, ref.output, c.engine, code, rt.Output())
+					ref.code, ref.output, c.engineConfig, code, rt.Output())
 			}
 			if rt.Tables.Updates() < 2 {
 				t.Logf("only %d updates raced the guest", rt.Tables.Updates())
@@ -99,10 +94,10 @@ func TestEnginesUnderUpdateStorm(t *testing.T) {
 			// covers. (Under updates the retry counts are scheduling-
 			// dependent in every engine, so only the quiet run is
 			// compared.)
-			quiet := runWithEngine(t, img, c.engine)
+			quiet := runWithConfig(t, img, c.engineConfig)
 			if quiet != ref {
 				t.Errorf("without updates diverges from interp:\n  interp: code=%d instret=%d\n  %s: code=%d instret=%d",
-					ref.code, ref.instret, c.engine, quiet.code, quiet.instret)
+					ref.code, ref.instret, c.engineConfig, quiet.code, quiet.instret)
 			}
 		})
 	}
