@@ -1,54 +1,44 @@
 // mcfi-serve runs the multi-tenant MCFI execution service: an HTTP
 // daemon that builds submitted MiniC programs (or named workloads)
 // through a tiered content-addressed build store and executes each job
-// in an isolated MCFI runtime on an elastic worker pool, with per-job
+// in an isolated MCFI runtime on a fixed worker pool, with per-job
 // instruction budgets and wall-clock timeouts.
 //
 // Usage:
 //
 //	mcfi-serve -addr :8377 -workers 4 -queue 8 -store-dir /var/cache/mcfi
-//	mcfi-serve -tenant-weights alice=4,bob=1 -workers-min 2 -workers-max 8
-//	mcfi-serve -addr :8481 -self http://h1:8481 -peers http://h1:8481,http://h2:8482
+//	mcfi-serve -tenant-weights alice=4,bob=1
 //
-// Endpoints (versioned under /v1/; the unversioned forms are aliases):
+// Endpoints (versioned under /v1/):
 //
 //	POST /v1/run        {"workload":"qsort","work":2000}  or  {"source":"int main..."}
 //	                    or {"kind":"dlopen","work":8} / {"kind":"jitsim"} — synthesized
 //	                    dynamic-linking guests that stress update transactions
-//	POST /v1/batch      {"tenant":"a","jobs":[...]} — one round trip, atomic admission
 //	GET  /v1/healthz    200 while serving, 503 once draining; JSON self-ID body
-//	GET  /v1/metrics    JSON counters: jobs, queue, tenants, cluster, build store
+//	GET  /v1/metrics    JSON counters: jobs, queue, tenants, build store
 //	GET  /v1/metrics?format=prom  the same snapshot in Prometheus text format
 //	GET  /v1/trace/{id} one sampled job's span set (see -trace-sample)
 //	GET  /v1/audit      recent CFI-violation audit records (see -audit-log)
-//	GET  /v1/store/{k}  sealed artifact blobs (also HEAD/PUT) — replica sharing
+//	GET  /v1/store/{k}  sealed artifact blobs (also HEAD/PUT) — store sharing
 //
 // Admission runs through a per-tenant deficit-weighted round-robin
-// scheduler: -tenant-weights sets service shares, and the
-// -tenant-max-* flags bound what any one tenant may have queued or in
-// flight (exceeding a bound is a scoped 429 with a Retry-After derived
-// from the observed drain rate). With -workers-min/-workers-max the
-// pool autoscales against p95 queue latency (-autoscale-target).
-//
-// With -peers (and -self), replicas route jobs by build fingerprint
-// over a consistent-hash ring: each replica serves its own shard of
-// the program space and proxies the rest a single hop to the owner,
-// falling back to local execution when the owner is down or draining.
+// scheduler: -tenant-weights sets service shares. A full queue is
+// refused with a 429 whose Retry-After is derived from the observed
+// drain rate.
 //
 // With -store-dir, compiled images and per-flavor libc objects persist
 // across restarts (a warm restart recompiles nothing), and the
-// directory may be shared by concurrent replicas. With -store-remote,
-// a peer's /v1/store endpoint is consulted before building and fresh
-// builds are published back to it. Replica sharing is write-gated by
-// -store-secret (or $MCFI_STORE_SECRET), a shared cluster secret that
-// HMAC-binds each published blob to its key; without it the store
-// surface refuses all PUTs and nothing is published to the peer, so an
-// exposed port cannot be used to poison the cache with a hostile
-// artifact.
+// directory may be shared by concurrent server processes. With
+// -store-remote, another server's /v1/store endpoint is consulted
+// before building and fresh builds are published back to it. Store
+// sharing is write-gated by -store-secret (or $MCFI_STORE_SECRET), a
+// shared secret that HMAC-binds each published blob to its key;
+// without it the store surface refuses all PUTs and nothing is
+// published to the remote store, so an exposed port cannot be used to
+// poison the cache with a hostile artifact.
 //
-// Observability: every job is assigned a trace ID at ingress
-// (propagated across replica hops in X-Mcfi-Trace) and, when sampled
-// by -trace-sample, its admission/queue/build/run spans are
+// Observability: every job is assigned a trace ID at ingress and, when
+// sampled by -trace-sample, its admission/queue/build/run spans are
 // retrievable at /v1/trace/{id}. Every CFI violation emits an audit
 // record — tenant, build fingerprint, faulting PC, refused branch
 // target, check kind — kept in a bounded ring at /v1/audit and
@@ -76,7 +66,6 @@ import (
 	"syscall"
 	"time"
 
-	"mcfi/internal/cluster"
 	"mcfi/internal/server"
 )
 
@@ -111,35 +100,16 @@ func orDash(s string) string {
 	return s
 }
 
-func parseList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 func main() {
 	addr := flag.String("addr", ":8377", "listen address")
 	workers := flag.Int("workers", 0, "execution pool width (0 = default 4)")
-	workersMin := flag.Int("workers-min", 0, "autoscaler floor (0 = fixed pool of -workers)")
-	workersMax := flag.Int("workers-max", 0, "autoscaler ceiling (0 = fixed pool)")
-	autoscaleTarget := flag.Duration("autoscale-target", 0, "p95 queue-latency target the autoscaler defends (0 = 100ms)")
 	queueDepth := flag.Int("queue", 0, "admission queue depth across all tenants (0 = 2x workers)")
 	tenantWeights := flag.String("tenant-weights", "", "per-tenant DWRR weights, e.g. alice=4,bob=1 (unlisted tenants weigh 1)")
-	tenantMaxQueued := flag.Int("tenant-max-queued", 0, "per-tenant queued-job quota (0 = unlimited)")
-	tenantMaxInflight := flag.Int("tenant-max-inflight", 0, "per-tenant queued+running quota (0 = unlimited)")
-	tenantInstrQuota := flag.Int64("tenant-instr-quota", 0, "per-tenant in-flight instruction-budget quota (0 = unlimited)")
-	peers := flag.String("peers", "", "comma-separated replica base URLs for fingerprint routing (include this replica)")
-	self := flag.String("self", "", "this replica's own base URL as peers reach it (required with -peers)")
-	vnodes := flag.Int("vnodes", 0, "consistent-hash virtual nodes per replica (0 = 96)")
 	maxInstr := flag.Int64("max-instr", 0, "default per-job instruction budget (0 = 2e9)")
 	timeout := flag.Duration("timeout", 0, "default per-job wall-clock limit (0 = 60s)")
 	cacheEntries := flag.Int("cache-entries", 0, "in-memory store tier capacity in images (0 = 256)")
 	storeDir := flag.String("store-dir", "", "persistent build-store directory (empty = in-memory only)")
-	storeRemote := flag.String("store-remote", "", "base URL of a peer build store to fetch from and publish to")
+	storeRemote := flag.String("store-remote", "", "base URL of a remote build store to fetch from and publish to")
 	storeSecret := flag.String("store-secret", os.Getenv("MCFI_STORE_SECRET"),
 		"shared secret authenticating /v1/store writes (empty = store surface is read-only; default $MCFI_STORE_SECRET)")
 	buildJobs := flag.Int("build-jobs", 0, "compile concurrency per build (0 = 1)")
@@ -176,19 +146,8 @@ func main() {
 
 	s, err := server.New(server.Config{
 		Workers:         *workers,
-		WorkersMin:      *workersMin,
-		WorkersMax:      *workersMax,
-		AutoscaleTarget: *autoscaleTarget,
 		QueueDepth:      *queueDepth,
 		TenantWeights:   weights,
-		TenantQuota: cluster.Quota{
-			MaxQueued:        *tenantMaxQueued,
-			MaxInFlight:      *tenantMaxInflight,
-			MaxInstrInFlight: *tenantInstrQuota,
-		},
-		Peers:           parseList(*peers),
-		Self:            *self,
-		VNodes:          *vnodes,
 		CacheEntries:    *cacheEntries,
 		StoreDir:        *storeDir,
 		RemoteStore:     *storeRemote,
@@ -211,12 +170,6 @@ func main() {
 				log.Printf("build store: %s (%d artifacts, %d KiB)", *storeDir, tier.Entries, tier.Bytes/1024)
 			}
 		}
-	}
-	if *peers != "" {
-		log.Printf("cluster: self=%s peers=%s", *self, *peers)
-	}
-	if m := s.MetricsSnapshot().Autoscale; m != nil && m.Enabled {
-		log.Printf("autoscale: %d..%d workers, p95 target %.0fms", m.Min, m.Max, m.TargetP95Ms)
 	}
 
 	if *pprofAddr != "" {

@@ -18,6 +18,7 @@ import (
 
 	"mcfi/internal/baseline"
 	"mcfi/internal/cfg"
+	"mcfi/internal/linker"
 	"mcfi/internal/mrt"
 	"mcfi/internal/toolchain"
 	"mcfi/internal/visa"
@@ -57,20 +58,34 @@ int main(void) {
 	return 0;
 }`
 
-func run(name, src string, instrumented bool) {
-	img, err := toolchain.New(
+// build compiles one scenario, with or without MCFI instrumentation.
+func build(name, src string, instrumented bool) (*linker.Image, error) {
+	return toolchain.New(
 		toolchain.WithProfile(visa.Profile64),
 		toolchain.WithInstrument(instrumented),
 	).Build(toolchain.Source{Name: name, Text: src})
+}
+
+// run builds one scenario and runs it to the end, returning the guest's
+// exit code, its output, and the error the run ended in (a *vm.Fault
+// for a halted check or a crash, nil for a clean exit).
+func run(name, src string, instrumented bool) (int64, string, error) {
+	img, err := build(name, src, instrumented)
 	if err != nil {
-		log.Fatal(err)
+		return 0, "", err
 	}
 	rt, err := mrt.New(img, mrt.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return 0, "", err
 	}
 	code, err := rt.Run(50_000_000)
-	fmt.Print(rt.Output())
+	return code, rt.Output(), err
+}
+
+// scenario runs one scenario and prints its output and outcome.
+func scenario(name, src string, instrumented bool) {
+	code, out, err := run(name, src, instrumented)
+	fmt.Print(out)
 	if f, ok := err.(*vm.Fault); ok && f.Kind == vm.FaultCFI {
 		fmt.Printf("  => MCFI halted the program: %v\n", f)
 		return
@@ -82,53 +97,78 @@ func run(name, src string, instrumented bool) {
 	fmt.Printf("  => exited %d\n", code)
 }
 
-func main() {
-	fmt.Println("--- Scenario 1: return-address corruption ---")
-	fmt.Println("[baseline, no CFI]")
-	run("smash", smashSrc, false)
-	fmt.Println("[MCFI]")
-	run("smash", smashSrc, true)
+// funcAddr is the code offset of the named function in img.
+func funcAddr(img *linker.Image, name string) int {
+	for _, f := range img.Aux.Funcs {
+		if f.Name == name {
+			return f.Offset
+		}
+	}
+	return -1
+}
 
-	fmt.Println()
-	fmt.Println("--- Scenario 2: function-pointer hijack to execve (GnuPG CVE-2006-6235) ---")
-	fmt.Println("[baseline, no CFI]")
-	run("gnupg", gnupgSrc, false)
-	fmt.Println("[MCFI]")
-	run("gnupg", gnupgSrc, true)
+// policyVerdict is whether one CFI policy allows scenario 2's hijacked
+// call.
+type policyVerdict struct {
+	name   string
+	allows bool
+}
 
-	// Policy-level comparison: would coarse-grained CFI have allowed
-	// the scenario-2 jump? (Paper §8.3: "this kind of attack may still
-	// be possible under coarse-grained CFI, but not fine-grained CFI".)
-	fmt.Println()
-	fmt.Println("--- Policy comparison for scenario 2 ---")
-	img, err := toolchain.New(
-		toolchain.WithProfile(visa.Profile64),
-		toolchain.WithInstrumentation(),
-	).Build(toolchain.Source{Name: "gnupg", Text: gnupgSrc})
+// comparePolicies asks every baseline policy, and MCFI's own, whether
+// scenario 2's indirect call may reach execve_like. (Paper §8.3: "this
+// kind of attack may still be possible under coarse-grained CFI, but
+// not fine-grained CFI".)
+func comparePolicies() ([]policyVerdict, error) {
+	img, err := build("gnupg", gnupgSrc, true)
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	g := cfg.Generate(cfg.Input{
 		Funcs: img.Aux.Funcs, IBs: img.Aux.IBs, RetSites: img.Aux.RetSites,
 		SetjmpConts: img.Aux.SetjmpConts, Annotations: img.Aux.AsmAnnotations,
 		Profile: img.Profile,
 	})
-	var callSite, execveAddr int
+	var callSite int
 	for _, ib := range img.Aux.IBs {
 		if ib.Kind.String() == "icall" {
 			callSite = ib.Offset
 		}
 	}
-	for _, f := range img.Aux.Funcs {
-		if f.Name == "execve_like" {
-			execveAddr = f.Offset
-		}
-	}
+	execveAddr := funcAddr(img, "execve_like")
+	var out []policyVerdict
 	for _, p := range baseline.Evaluate(img, g, len(img.Code)) {
+		out = append(out, policyVerdict{p.Name, p.Allows(callSite, execveAddr)})
+	}
+	return out, nil
+}
+
+func main() {
+	fmt.Println("--- Scenario 1: return-address corruption ---")
+	fmt.Println("[baseline, no CFI]")
+	scenario("smash", smashSrc, false)
+	fmt.Println("[MCFI]")
+	scenario("smash", smashSrc, true)
+
+	fmt.Println()
+	fmt.Println("--- Scenario 2: function-pointer hijack to execve (GnuPG CVE-2006-6235) ---")
+	fmt.Println("[baseline, no CFI]")
+	scenario("gnupg", gnupgSrc, false)
+	fmt.Println("[MCFI]")
+	scenario("gnupg", gnupgSrc, true)
+
+	// Policy-level comparison: would coarse-grained CFI have allowed
+	// the scenario-2 jump?
+	fmt.Println()
+	fmt.Println("--- Policy comparison for scenario 2 ---")
+	verdicts, err := comparePolicies()
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, v := range verdicts {
 		verdict := "BLOCKS"
-		if p.Allows(callSite, execveAddr) {
+		if v.allows {
 			verdict = "allows"
 		}
-		fmt.Printf("  %-12s %s the hijacked call to execve_like\n", p.Name, verdict)
+		fmt.Printf("  %-12s %s the hijacked call to execve_like\n", v.name, verdict)
 	}
 }

@@ -1,78 +1,9 @@
 package cluster
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
-
-// Window is a fixed-size sliding sample window of durations (queue
-// latencies) supporting percentile queries. Cheap enough for the hot
-// path: Observe is O(1) under a mutex; Quantiles sorts a copy of at
-// most size samples and is called only by /metrics and the autoscaler
-// tick.
-type Window struct {
-	mu    sync.Mutex
-	buf   []int64 // nanos, ring
-	idx   int
-	n     int // filled entries, <= len(buf)
-	total int64
-}
-
-// NewWindow builds a window over the last size samples (<=0 → 1024).
-func NewWindow(size int) *Window {
-	if size <= 0 {
-		size = 1024
-	}
-	return &Window{buf: make([]int64, size)}
-}
-
-// Observe records one sample.
-func (w *Window) Observe(d time.Duration) {
-	w.mu.Lock()
-	w.buf[w.idx] = int64(d)
-	w.idx = (w.idx + 1) % len(w.buf)
-	if w.n < len(w.buf) {
-		w.n++
-	}
-	w.total++
-	w.mu.Unlock()
-}
-
-// Count reports the total samples ever observed.
-func (w *Window) Count() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.total
-}
-
-// Quantiles returns the requested quantiles (0 < p <= 1) over the
-// retained window, zeros when no samples have been observed. The
-// estimate is the nearest-rank sample: Quantiles(0.5, 0.95, 0.99)
-// gives p50/p95/p99.
-func (w *Window) Quantiles(ps ...float64) []time.Duration {
-	out := make([]time.Duration, len(ps))
-	w.mu.Lock()
-	if w.n == 0 {
-		w.mu.Unlock()
-		return out
-	}
-	tmp := make([]int64, w.n)
-	copy(tmp, w.buf[:w.n])
-	w.mu.Unlock()
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	for i, p := range ps {
-		k := int(float64(len(tmp))*p+0.5) - 1
-		if k < 0 {
-			k = 0
-		}
-		if k >= len(tmp) {
-			k = len(tmp) - 1
-		}
-		out[i] = time.Duration(tmp[k])
-	}
-	return out
-}
 
 // RateMeter estimates a recent event rate (job completions per
 // second) from a ring of event timestamps. It powers Retry-After:

@@ -5,36 +5,6 @@ import (
 	"time"
 )
 
-// TestWindowQuantiles: nearest-rank percentiles over a known
-// population, before and after the ring wraps.
-func TestWindowQuantiles(t *testing.T) {
-	w := NewWindow(100)
-	qs := w.Quantiles(0.5, 0.95)
-	if qs[0] != 0 || qs[1] != 0 {
-		t.Errorf("empty window quantiles = %v, want zeros", qs)
-	}
-	for i := 1; i <= 100; i++ {
-		w.Observe(time.Duration(i) * time.Millisecond)
-	}
-	qs = w.Quantiles(0.5, 0.95, 0.99, 1.0)
-	want := []time.Duration{50 * time.Millisecond, 95 * time.Millisecond, 99 * time.Millisecond, 100 * time.Millisecond}
-	for i := range want {
-		if qs[i] != want[i] {
-			t.Errorf("quantile[%d] = %v, want %v", i, qs[i], want[i])
-		}
-	}
-	// Wrap: 100 new samples at a higher plateau fully displace the old.
-	for i := 0; i < 100; i++ {
-		w.Observe(time.Second)
-	}
-	if got := w.Quantiles(0.5)[0]; got != time.Second {
-		t.Errorf("post-wrap p50 = %v, want 1s", got)
-	}
-	if w.Count() != 200 {
-		t.Errorf("count = %d, want 200", w.Count())
-	}
-}
-
 // TestRateMeter: events inside the horizon count, stale ones do not.
 func TestRateMeter(t *testing.T) {
 	r := NewRateMeter(64, 10*time.Second)

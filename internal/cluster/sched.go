@@ -1,126 +1,79 @@
+// Package cluster is the admission layer of the MCFI execution
+// service: a deficit-weighted round-robin tenant scheduler (sched.go)
+// and the drain-rate meter that prices a refused client's Retry-After
+// (latency.go). The package is deliberately free of HTTP and server
+// types: internal/server wires it to the wire.
 package cluster
 
 import (
 	"errors"
-	"fmt"
+	"maps"
 	"sort"
 	"sync"
-	"time"
 )
 
-// Admission errors. A QuotaError (per-tenant refusal) is distinct
-// from ErrQueueFull (global backpressure): the former means *this
-// tenant* is over its quota while the fleet may be idle, the latter
-// that the shared queue is exhausted.
+// Admission errors: ErrQueueFull is global backpressure (the shared
+// queue is exhausted), ErrClosed that the scheduler admits nothing
+// more.
 var (
 	ErrQueueFull = errors.New("cluster: queue full")
 	ErrClosed    = errors.New("cluster: scheduler closed")
 )
-
-// QuotaError reports a per-tenant admission refusal.
-type QuotaError struct {
-	Tenant string
-	Reason string
-}
-
-func (e *QuotaError) Error() string {
-	return fmt.Sprintf("cluster: tenant %q over quota: %s", e.Tenant, e.Reason)
-}
-
-// Quota bounds one tenant's admission. Zero fields are unlimited
-// (except Weight, where 0 means DefaultWeight 1).
-type Quota struct {
-	// Weight is the DWRR service share: a weight-5 tenant drains up to
-	// 5 jobs per scheduling round for every 1 a weight-1 tenant gets.
-	// Minimum effective weight is 1, so no backlogged tenant starves.
-	Weight int
-	// MaxQueued bounds jobs queued (admitted, not yet running).
-	MaxQueued int
-	// MaxInFlight bounds jobs admitted but not completed (queued +
-	// running).
-	MaxInFlight int
-	// MaxInstrInFlight bounds the summed instruction budgets of
-	// admitted-but-not-completed jobs (jobs submitted with cost 0 —
-	// unlimited budget — do not count).
-	MaxInstrInFlight int64
-}
 
 // SchedConfig sizes a scheduler.
 type SchedConfig struct {
 	// TotalQueue bounds queued jobs across all tenants, beyond those
 	// in hand-off to already-parked consumers (default 64).
 	TotalQueue int
-	// Default is the quota applied to tenants without an entry in
-	// Tenants.
-	Default Quota
-	// Tenants overrides quotas per tenant name. Zero fields of an
-	// override inherit from Default (so a map of {Weight: 5} entries
-	// sets weights without re-stating limits).
-	Tenants map[string]Quota
-}
-
-type entry[T any] struct {
-	v    T
-	cost int64
-	at   time.Time // enqueue time, for the queue-wait window
+	// Weights sets per-tenant DWRR service shares: a weight-5 tenant
+	// drains up to 5 jobs per scheduling round for every 1 a weight-1
+	// tenant gets. Unlisted tenants, and weights below 1, weigh 1, so
+	// no backlogged tenant starves.
+	Weights map[string]int
 }
 
 type schedTenant[T any] struct {
 	name   string
-	quota  Quota
-	fifo   []entry[T]
+	weight int
+	fifo   []T
 	credit int // remaining service this round
 	active bool
 
-	running       int
-	instrInFlight int64
+	running int
 
 	submitted, refused, dequeued, completed int64
-
-	// qwait samples this tenant's admission-to-dequeue latency (the
-	// per-tenant view behind the fleet-wide autoscaler window).
-	qwait *Window
-}
-
-func (t *schedTenant[T]) weight() int {
-	if t.quota.Weight < 1 {
-		return 1
-	}
-	return t.quota.Weight
 }
 
 // TenantStats is one tenant's scheduler snapshot (exported on
 // /metrics by internal/server).
 type TenantStats struct {
-	Tenant        string `json:"tenant"`
-	Weight        int    `json:"weight"`
-	Queued        int    `json:"queued"`
-	Running       int    `json:"running"`
-	InstrInFlight int64  `json:"instr_in_flight"`
-	Submitted     int64  `json:"submitted"`
-	Refused       int64  `json:"refused"`
-	Dequeued      int64  `json:"dequeued"`
-	Completed     int64  `json:"completed"`
-	// Queue-wait percentiles over the tenant's recent dequeues
-	// (milliseconds; zero until the first dequeue).
+	Tenant    string `json:"tenant"`
+	Weight    int    `json:"weight"`
+	Queued    int    `json:"queued"`
+	Running   int    `json:"running"`
+	Submitted int64  `json:"submitted"`
+	Refused   int64  `json:"refused"`
+	Dequeued  int64  `json:"dequeued"`
+	Completed int64  `json:"completed"`
+	// Queue-wait percentiles in milliseconds (zero until the first
+	// dequeue). The scheduler does not time jobs: internal/server
+	// fills these from its queue-wait histogram.
 	QueueP50Ms float64 `json:"queue_p50_ms"`
 	QueueP95Ms float64 `json:"queue_p95_ms"`
 	QueueP99Ms float64 `json:"queue_p99_ms"`
 }
 
 // Sched is a deficit-weighted round-robin scheduler over per-tenant
-// FIFO queues. Producers Submit (or SubmitBatch) under a tenant name;
-// consumers Next one item at a time. Tenants with backlog are served
-// in a round-robin of bursts sized by their weight, so service ratios
-// converge to the weight ratios while every backlogged tenant gets at
-// least one job per round — weighted fairness without starvation.
+// FIFO queues. Producers Submit under a tenant name; consumers Next
+// one item at a time. Tenants with backlog are served in a round-robin
+// of bursts sized by their weight, so service ratios converge to the
+// weight ratios while every backlogged tenant gets at least one job
+// per round — weighted fairness without starvation.
 //
-// Admission enforces per-tenant quotas (Quota) and the global
-// TotalQueue bound, and is atomic per call: SubmitBatch admits all of
-// its jobs or none. After Close, Submit fails with ErrClosed while
-// Next keeps draining what was already admitted — an admitted job is
-// never silently dropped, and a refused job was never enqueued, so no
-// job can be both refused and executed.
+// Admission enforces the global TotalQueue bound. After Close, Submit
+// fails with ErrClosed while Next keeps draining what was already
+// admitted — an admitted job is never silently dropped, and a refused
+// job was never enqueued, so no job can be both refused and executed.
 type Sched[T any] struct {
 	mu      sync.Mutex
 	cfg     SchedConfig
@@ -140,6 +93,7 @@ func NewSched[T any](cfg SchedConfig) *Sched[T] {
 	if cfg.TotalQueue <= 0 {
 		cfg.TotalQueue = 64
 	}
+	cfg.Weights = maps.Clone(cfg.Weights)
 	return &Sched[T]{
 		cfg:      cfg,
 		tenants:  make(map[string]*schedTenant[T]),
@@ -148,40 +102,18 @@ func NewSched[T any](cfg SchedConfig) *Sched[T] {
 	}
 }
 
-// quotaFor merges the per-tenant override over the default quota.
-func (s *Sched[T]) quotaFor(name string) Quota {
-	q := s.cfg.Default
-	o, ok := s.cfg.Tenants[name]
-	if !ok {
-		return q
-	}
-	if o.Weight != 0 {
-		q.Weight = o.Weight
-	}
-	if o.MaxQueued != 0 {
-		q.MaxQueued = o.MaxQueued
-	}
-	if o.MaxInFlight != 0 {
-		q.MaxInFlight = o.MaxInFlight
-	}
-	if o.MaxInstrInFlight != 0 {
-		q.MaxInstrInFlight = o.MaxInstrInFlight
-	}
-	return q
-}
-
 func (s *Sched[T]) tenant(name string) *schedTenant[T] {
 	t, ok := s.tenants[name]
 	if !ok {
-		t = &schedTenant[T]{name: name, quota: s.quotaFor(name)}
+		t = &schedTenant[T]{name: name, weight: max(s.cfg.Weights[name], 1)}
 		s.tenants[name] = t
 	}
 	return t
 }
 
-// admitErr reports why n more jobs with summed instruction cost extra
-// cannot be admitted for t, or nil. Called with s.mu held.
-func (s *Sched[T]) admitErr(t *schedTenant[T], n int, extra int64) error {
+// admitErr reports why n more jobs cannot be admitted, or nil. Called
+// with s.mu held.
+func (s *Sched[T]) admitErr(n int) error {
 	// The global bound is waiter-aware: a job that an idle, parked
 	// consumer will pop the moment it wakes is in hand-off, not truly
 	// queued. Without this, two concurrent submits against a depth-1
@@ -191,61 +123,29 @@ func (s *Sched[T]) admitErr(t *schedTenant[T], n int, extra int64) error {
 	if s.queued+n > s.cfg.TotalQueue+s.waiting {
 		return ErrQueueFull
 	}
-	q := t.quota
-	if q.MaxQueued > 0 && len(t.fifo)+n > q.MaxQueued {
-		return &QuotaError{Tenant: t.name, Reason: fmt.Sprintf("max %d queued", q.MaxQueued)}
-	}
-	if q.MaxInFlight > 0 && len(t.fifo)+t.running+n > q.MaxInFlight {
-		return &QuotaError{Tenant: t.name, Reason: fmt.Sprintf("max %d in flight", q.MaxInFlight)}
-	}
-	if q.MaxInstrInFlight > 0 && t.instrInFlight+extra > q.MaxInstrInFlight {
-		return &QuotaError{Tenant: t.name,
-			Reason: fmt.Sprintf("instruction budget quota %d exhausted", q.MaxInstrInFlight)}
-	}
 	return nil
 }
 
-// Submit admits one job for tenant with the given instruction-budget
-// cost (0 = unlimited budget, exempt from the instr quota).
-func (s *Sched[T]) Submit(tenant string, cost int64, v T) error {
-	return s.SubmitBatch(tenant, []int64{cost}, []T{v})
-}
-
-// SubmitBatch atomically admits all jobs or none: a batch is one
-// admission decision, so a client cannot end up with half a job array
-// queued behind a quota.
-func (s *Sched[T]) SubmitBatch(tenant string, costs []int64, vs []T) error {
-	if len(costs) != len(vs) {
-		return fmt.Errorf("cluster: batch costs/jobs length mismatch (%d vs %d)", len(costs), len(vs))
-	}
-	if len(vs) == 0 {
-		return nil
-	}
-	var extra int64
-	for _, c := range costs {
-		extra += c
-	}
+// Submit admits one job for tenant, or refuses it with ErrQueueFull
+// (backpressure) or ErrClosed.
+func (s *Sched[T]) Submit(tenant string, v T) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return ErrClosed
 	}
 	t := s.tenant(tenant)
-	if err := s.admitErr(t, len(vs), extra); err != nil {
-		t.refused += int64(len(vs))
+	if err := s.admitErr(1); err != nil {
+		t.refused++
 		s.mu.Unlock()
 		return err
 	}
-	now := time.Now()
-	for i, v := range vs {
-		t.fifo = append(t.fifo, entry[T]{v: v, cost: costs[i], at: now})
-	}
-	t.submitted += int64(len(vs))
-	t.instrInFlight += extra
-	s.queued += len(vs)
+	t.fifo = append(t.fifo, v)
+	t.submitted++
+	s.queued++
 	if !t.active {
 		t.active = true
-		t.credit = t.weight()
+		t.credit = t.weight
 		s.active = append(s.active, t)
 	}
 	s.mu.Unlock()
@@ -272,16 +172,10 @@ func (s *Sched[T]) pop() (T, bool) {
 	}
 	t := s.active[s.idx]
 	if t.credit <= 0 {
-		t.credit = t.weight() // new round for this tenant
+		t.credit = t.weight // new round for this tenant
 	}
-	e := t.fifo[0]
+	v := t.fifo[0]
 	t.fifo = t.fifo[1:]
-	if !e.at.IsZero() {
-		if t.qwait == nil {
-			t.qwait = NewWindow(256)
-		}
-		t.qwait.Observe(time.Since(e.at))
-	}
 	t.credit--
 	t.dequeued++
 	t.running++
@@ -295,45 +189,29 @@ func (s *Sched[T]) pop() (T, bool) {
 	} else if t.credit == 0 {
 		s.idx++ // burst spent: next tenant's turn
 	}
-	return e.v, true
+	return v, true
 }
 
 // Next blocks until a job is available and returns it, or returns
-// ok=false when quit closes or the scheduler is closed and drained.
-// The caller must pair every successful Next with a Done call carrying
-// the same tenant and cost.
-func (s *Sched[T]) Next(quit <-chan struct{}) (T, bool) {
+// ok=false once the scheduler is closed and drained. The caller must
+// pair every successful Next with a Done call for the same tenant.
+func (s *Sched[T]) Next() (T, bool) {
 	var zero T
 	// parked tracks whether this consumer holds a waiting slot. The
 	// slot is taken at first park and held until the consumer actually
 	// pops (or exits) — a woken-but-not-yet-popped consumer still
 	// justifies the admission headroom it advertised.
 	parked := false
-	release := func() {
-		if parked {
-			s.waiting--
-			parked = false
-		}
-	}
 	for {
-		// A closed quit channel exits promptly even with backlog: the
-		// job stays queued for the remaining consumers.
-		if quit != nil {
-			select {
-			case <-quit:
-				s.mu.Lock()
-				release()
-				s.mu.Unlock()
-				return zero, false
-			default:
-			}
-		}
 		s.mu.Lock()
 		v, ok := s.pop()
 		more := s.queued > 0
 		closed := s.closed
 		if ok || closed {
-			release()
+			if parked {
+				s.waiting--
+				parked = false
+			}
 		} else if !parked {
 			s.waiting++ // about to park: admission may count on us
 			parked = true
@@ -348,32 +226,19 @@ func (s *Sched[T]) Next(quit <-chan struct{}) (T, bool) {
 		if closed {
 			return zero, false
 		}
-		if quit == nil {
-			select {
-			case <-s.wake:
-			case <-s.closedCh:
-			}
-			continue
-		}
 		select {
 		case <-s.wake:
 		case <-s.closedCh:
-		case <-quit:
-			s.mu.Lock()
-			release()
-			s.mu.Unlock()
-			return zero, false
 		}
 	}
 }
 
-// Done releases a dequeued job's quota share.
-func (s *Sched[T]) Done(tenant string, cost int64) {
+// Done marks a dequeued job of tenant complete.
+func (s *Sched[T]) Done(tenant string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t := s.tenant(tenant)
 	t.running--
-	t.instrInFlight -= cost
 	t.completed++
 }
 
@@ -401,24 +266,16 @@ func (s *Sched[T]) Stats() []TenantStats {
 	defer s.mu.Unlock()
 	out := make([]TenantStats, 0, len(s.tenants))
 	for _, t := range s.tenants {
-		st := TenantStats{
-			Tenant:        t.name,
-			Weight:        t.weight(),
-			Queued:        len(t.fifo),
-			Running:       t.running,
-			InstrInFlight: t.instrInFlight,
-			Submitted:     t.submitted,
-			Refused:       t.refused,
-			Dequeued:      t.dequeued,
-			Completed:     t.completed,
-		}
-		if t.qwait != nil {
-			qs := t.qwait.Quantiles(0.5, 0.95, 0.99)
-			st.QueueP50Ms = float64(qs[0]) / 1e6
-			st.QueueP95Ms = float64(qs[1]) / 1e6
-			st.QueueP99Ms = float64(qs[2]) / 1e6
-		}
-		out = append(out, st)
+		out = append(out, TenantStats{
+			Tenant:    t.name,
+			Weight:    t.weight,
+			Queued:    len(t.fifo),
+			Running:   t.running,
+			Submitted: t.submitted,
+			Refused:   t.refused,
+			Dequeued:  t.dequeued,
+			Completed: t.completed,
+		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
 	return out

@@ -14,23 +14,23 @@ import (
 func TestDWRRWeightedShares(t *testing.T) {
 	s := NewSched[string](SchedConfig{
 		TotalQueue: 4096,
-		Tenants:    map[string]Quota{"a": {Weight: 4}, "b": {Weight: 2}, "c": {Weight: 1}},
+		Weights:    map[string]int{"a": 4, "b": 2, "c": 1},
 	})
 	for i := 0; i < 400; i++ {
 		for _, tn := range []string{"a", "b", "c"} {
-			if err := s.Submit(tn, 0, tn); err != nil {
+			if err := s.Submit(tn, tn); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	served := map[string]int{}
 	for i := 0; i < 700; i++ { // 100 full rounds of 4+2+1
-		v, ok := s.Next(nil)
+		v, ok := s.Next()
 		if !ok {
 			t.Fatal("scheduler empty early")
 		}
 		served[v]++
-		s.Done(v, 0)
+		s.Done(v)
 	}
 	if served["a"] != 400 || served["b"] != 200 || served["c"] != 100 {
 		t.Errorf("served = %v, want 400/200/100 (weights 4:2:1)", served)
@@ -42,99 +42,23 @@ func TestDWRRWeightedShares(t *testing.T) {
 func TestDWRRNoStarvation(t *testing.T) {
 	s := NewSched[string](SchedConfig{
 		TotalQueue: 4096,
-		Tenants:    map[string]Quota{"big": {Weight: 100}},
+		Weights:    map[string]int{"big": 100},
 	})
 	for i := 0; i < 1000; i++ {
-		s.Submit("big", 0, "big")
+		s.Submit("big", "big")
 	}
-	s.Submit("small", 0, "small")
+	s.Submit("small", "small")
 	for i := 0; i < 102; i++ {
-		v, ok := s.Next(nil)
+		v, ok := s.Next()
 		if !ok {
 			t.Fatal("empty early")
 		}
-		s.Done(v, 0)
+		s.Done(v)
 		if v == "small" {
 			return // served within one full round
 		}
 	}
 	t.Error("weight-1 tenant starved for a full round behind weight-100")
-}
-
-// TestQuotaEnforcement: per-tenant queue, in-flight, and instruction
-// quotas refuse with QuotaError while other tenants stay admissible.
-func TestQuotaEnforcement(t *testing.T) {
-	s := NewSched[int](SchedConfig{
-		TotalQueue: 100,
-		Default:    Quota{MaxQueued: 2, MaxInstrInFlight: 1000},
-	})
-	if err := s.Submit("t", 400, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Submit("t", 400, 2); err != nil {
-		t.Fatal(err)
-	}
-	var qe *QuotaError
-	if err := s.Submit("t", 1, 3); !errors.As(err, &qe) {
-		t.Fatalf("3rd queued submit = %v, want QuotaError (MaxQueued=2)", err)
-	}
-	// Drain one into running: queue quota frees, but instr quota binds.
-	if _, ok := s.Next(nil); !ok {
-		t.Fatal("no item")
-	}
-	if err := s.Submit("t", 300, 4); !errors.As(err, &qe) ||
-		qe.Reason == "" {
-		t.Fatalf("over-instr submit = %v, want instr QuotaError", err)
-	}
-	if err := s.Submit("t", 100, 5); err != nil {
-		t.Fatalf("within-instr submit = %v", err)
-	}
-	// An unrelated tenant is unaffected.
-	if err := s.Submit("other", 999, 6); err != nil {
-		t.Fatalf("other tenant = %v", err)
-	}
-	// Completion releases the instr quota (drain two queued items
-	// first so the queue bound is not what binds).
-	s.Done("t", 400)
-	s.Next(nil)
-	s.Next(nil)
-	if err := s.Submit("t", 300, 7); err != nil {
-		t.Fatalf("post-Done submit = %v", err)
-	}
-	st := s.Stats()
-	for _, ts := range st {
-		if ts.Tenant == "t" && ts.Refused != 2 {
-			t.Errorf("tenant t refused = %d, want 2", ts.Refused)
-		}
-	}
-}
-
-// TestSubmitBatchAtomic: a batch that exceeds quota is refused whole —
-// none of its jobs are ever dequeued.
-func TestSubmitBatchAtomic(t *testing.T) {
-	s := NewSched[int](SchedConfig{TotalQueue: 100, Default: Quota{MaxQueued: 3}})
-	vs, costs := []int{1, 2, 3, 4}, []int64{0, 0, 0, 0}
-	var qe *QuotaError
-	if err := s.SubmitBatch("t", costs, vs); !errors.As(err, &qe) {
-		t.Fatalf("oversized batch = %v, want QuotaError", err)
-	}
-	if got := s.Queued(); got != 0 {
-		t.Fatalf("queued = %d after refused batch, want 0", got)
-	}
-	if err := s.SubmitBatch("t", costs[:3], vs[:3]); err != nil {
-		t.Fatalf("fitting batch = %v", err)
-	}
-	if got := s.Queued(); got != 3 {
-		t.Fatalf("queued = %d, want 3", got)
-	}
-	// Global bound is atomic too.
-	s2 := NewSched[int](SchedConfig{TotalQueue: 2})
-	if err := s2.SubmitBatch("t", costs[:3], vs[:3]); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("over-global batch = %v, want ErrQueueFull", err)
-	}
-	if got := s2.Queued(); got != 0 {
-		t.Fatalf("queued = %d after refused batch, want 0", got)
-	}
 }
 
 // TestSubmitVsCloseRace is the scheduler-level half of the
@@ -150,7 +74,7 @@ func TestSubmitVsCloseRace(t *testing.T) {
 	)
 	s := NewSched[int](SchedConfig{
 		TotalQueue: submitters * perSubmitter,
-		Tenants:    map[string]Quota{"t0": {Weight: 4}, "t1": {Weight: 3}, "t2": {Weight: 2}},
+		Weights:    map[string]int{"t0": 4, "t1": 3, "t2": 2},
 	})
 
 	var admitted, refused atomic.Int64
@@ -163,13 +87,13 @@ func TestSubmitVsCloseRace(t *testing.T) {
 		go func() {
 			defer consumers.Done()
 			for {
-				v, ok := s.Next(nil)
+				v, ok := s.Next()
 				if !ok {
 					return
 				}
 				seen[v].Add(1)
 				dequeued.Add(1)
-				s.Done(fmt.Sprintf("t%d", v%tenants), 0)
+				s.Done(fmt.Sprintf("t%d", v%tenants))
 			}
 		}()
 	}
@@ -181,7 +105,7 @@ func TestSubmitVsCloseRace(t *testing.T) {
 			defer producers.Done()
 			for i := 0; i < perSubmitter; i++ {
 				id := p*perSubmitter + i
-				err := s.Submit(fmt.Sprintf("t%d", id%tenants), 0, id)
+				err := s.Submit(fmt.Sprintf("t%d", id%tenants), id)
 				switch {
 				case err == nil:
 					admitted.Add(1)
@@ -214,7 +138,7 @@ func TestSubmitVsCloseRace(t *testing.T) {
 	}
 	var sub, deq, comp, ref int64
 	for _, ts := range s.Stats() {
-		if ts.Queued != 0 || ts.Running != 0 || ts.InstrInFlight != 0 {
+		if ts.Queued != 0 || ts.Running != 0 {
 			t.Errorf("tenant %s not drained: %+v", ts.Tenant, ts)
 		}
 		if ts.Dequeued != ts.Completed || ts.Submitted != ts.Dequeued {
@@ -226,35 +150,10 @@ func TestSubmitVsCloseRace(t *testing.T) {
 		ref += ts.Refused
 	}
 	// ErrClosed rejections are the caller's to count (the server maps
-	// them to 503s); the scheduler's refused counter tracks quota and
-	// queue-full refusals, of which this run has none.
+	// them to 503s); the scheduler's refused counter tracks queue-full
+	// refusals, of which this run has none.
 	if sub != admitted.Load() || deq != admitted.Load() || comp != admitted.Load() || ref != 0 {
 		t.Errorf("aggregate counters: submitted=%d dequeued=%d completed=%d refused=%d, want %d/%d/%d/0",
 			sub, deq, comp, ref, admitted.Load(), admitted.Load(), admitted.Load())
-	}
-}
-
-// TestNextQuit: a closed quit channel releases a blocked consumer
-// without consuming work, and leaves queued items for others.
-func TestNextQuit(t *testing.T) {
-	s := NewSched[int](SchedConfig{TotalQueue: 8})
-	quit := make(chan struct{})
-	done := make(chan bool)
-	go func() {
-		_, ok := s.Next(quit)
-		done <- ok
-	}()
-	close(quit)
-	select {
-	case ok := <-done:
-		if ok {
-			t.Fatal("Next returned a job after quit")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Next did not honor quit")
-	}
-	s.Submit("t", 0, 42)
-	if v, ok := s.Next(nil); !ok || v != 42 {
-		t.Fatalf("queued item lost: %v %v", v, ok)
 	}
 }

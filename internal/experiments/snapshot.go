@@ -30,9 +30,6 @@ type BenchRecord struct {
 	// "remote") and fresh compiles, as deltas over this record's run.
 	StoreHits   map[string]int64 `json:"store_hits,omitempty"`
 	StoreBuilds int64            `json:"store_builds,omitempty"`
-	// Per-tenant job-latency percentiles in milliseconds (mcfi-load
-	// serving records only): tenant name → [p50, p95, p99].
-	TenantLatMs map[string][3]float64 `json:"tenant_lat_ms,omitempty"`
 }
 
 // Key identifies the measurement a record belongs to, independent of

@@ -21,10 +21,9 @@ type AuditRecord struct {
 	TimeUnixNs int64 `json:"time_unix_ns"`
 	// Trace links the violation to its job trace (empty if unsampled).
 	Trace string `json:"trace,omitempty"`
-	// Tenant/Replica/Job/Engine identify the execution context;
+	// Tenant/Job/Engine identify the execution context;
 	// Fingerprint is the content hash of the build that violated.
 	Tenant      string `json:"tenant,omitempty"`
-	Replica     string `json:"replica,omitempty"`
 	Job         string `json:"job,omitempty"`
 	Engine      string `json:"engine,omitempty"`
 	Fingerprint string `json:"fingerprint,omitempty"`

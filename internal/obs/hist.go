@@ -73,6 +73,33 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
+// Quantile estimates the p-quantile (0 <= p <= 1) the way
+// Prometheus' histogram_quantile does: find the bucket holding rank
+// p×Count and interpolate linearly within it, taking the lowest
+// bucket to start at 0. A rank in the +Inf bucket reports the highest
+// finite bound; an empty histogram reports 0.
+func (s HistSnapshot) Quantile(p float64) time.Duration {
+	if s.Count == 0 {
+		return 0
+	}
+	rank := min(max(p, 0), 1) * float64(s.Count)
+	b := sort.Search(len(s.Buckets), func(i int) bool { return float64(s.Buckets[i]) >= rank })
+	if b == len(s.Buckets) {
+		return secs(s.Bounds[len(s.Bounds)-1])
+	}
+	start, below := 0.0, int64(0)
+	if b > 0 {
+		start, below = s.Bounds[b-1], s.Buckets[b-1]
+	}
+	in := s.Buckets[b] - below
+	if in == 0 {
+		return secs(start)
+	}
+	return secs(start + (s.Bounds[b]-start)*(rank-float64(below))/float64(in))
+}
+
+func secs(v float64) time.Duration { return time.Duration(v * float64(time.Second)) }
+
 // HistVec is a histogram family keyed by one label value (tenant,
 // engine, store tier, ...). Label values are created on first use.
 type HistVec struct {
@@ -129,4 +156,21 @@ func (v *HistVec) Snapshot() []LabeledHist {
 type LabeledHist struct {
 	Label string
 	Hist  HistSnapshot
+}
+
+// SumHists folds a family's label values into one snapshot (all of a
+// HistVec's histograms share its bounds).
+func SumHists(hs []LabeledHist) HistSnapshot {
+	var out HistSnapshot
+	for _, h := range hs {
+		if out.Buckets == nil {
+			out.Bounds, out.Buckets = h.Hist.Bounds, make([]int64, len(h.Hist.Buckets))
+		}
+		for i, c := range h.Hist.Buckets {
+			out.Buckets[i] += c
+		}
+		out.Count += h.Hist.Count
+		out.SumSecs += h.Hist.SumSecs
+	}
+	return out
 }

@@ -37,6 +37,53 @@ func TestHistogramBucketsAreCumulative(t *testing.T) {
 	}
 }
 
+// TestHistQuantile: histogram_quantile semantics — linear within the
+// bucket holding the rank, the lowest bucket starting at 0, the +Inf
+// bucket clamped to the highest finite bound, 0 when empty.
+func TestHistQuantile(t *testing.T) {
+	ms := func(v float64) time.Duration { return time.Duration(v * float64(time.Millisecond)) }
+	fill := func(samples map[time.Duration]int) HistSnapshot {
+		h := NewHistogram([]float64{0.01, 0.1, 1})
+		for d, n := range samples {
+			for i := 0; i < n; i++ {
+				h.Observe(d)
+			}
+		}
+		return h.Snapshot()
+	}
+	for _, tc := range []struct {
+		name    string
+		samples map[time.Duration]int
+		want    map[float64]time.Duration // p → quantile
+	}{
+		{"empty", nil, map[float64]time.Duration{0.5: 0, 0.95: 0, 0.99: 0}},
+		{"one bucket", map[time.Duration]int{50 * time.Millisecond: 4},
+			map[float64]time.Duration{0.5: ms(55), 0.95: ms(95.5), 0.99: ms(99.1)}},
+		{"+Inf bucket", map[time.Duration]int{5 * time.Millisecond: 1, 5 * time.Second: 3},
+			map[float64]time.Duration{0.25: ms(10), 0.5: time.Second, 0.95: time.Second, 0.99: time.Second}},
+		{"spread", map[time.Duration]int{5 * time.Millisecond: 50, 50 * time.Millisecond: 45, 500 * time.Millisecond: 5},
+			map[float64]time.Duration{0.5: ms(10), 0.95: ms(100), 0.99: ms(820)}},
+	} {
+		s := fill(tc.samples)
+		for p, want := range tc.want {
+			got := s.Quantile(p)
+			if d := got - want; d < -time.Microsecond || d > time.Microsecond {
+				t.Errorf("%s: Quantile(%v) = %v, want %v", tc.name, p, got, want)
+			}
+		}
+	}
+
+	// SumHists folds a family into the histogram of all its samples.
+	v := NewHistVec([]float64{0.01, 0.1, 1})
+	v.Observe("a", 5*time.Millisecond)
+	v.Observe("b", 50*time.Millisecond)
+	v.Observe("b", 5*time.Second)
+	sum := SumHists(v.Snapshot())
+	if fmt.Sprint(sum.Buckets) != "[1 2 2]" || sum.Count != 3 || len(sum.Bounds) != 3 {
+		t.Errorf("SumHists = %+v, want buckets [1 2 2], count 3", sum)
+	}
+}
+
 // validateExposition is the same well-formedness check CI runs against
 // /v1/metrics?format=prom: every sample's family has a TYPE line, no
 // family appears in two blocks, no NaN/Inf values, histogram buckets
@@ -154,7 +201,7 @@ func TestRecorderSamplingIsDeterministic(t *testing.T) {
 			t.Fatalf("sample=0 kept %s", id)
 		}
 		// The decision is a pure function of (id, rate): what one
-		// replica keeps, every replica keeps.
+		// recorder keeps, every recorder at that rate keeps.
 		if half1.Sampled(id) != half2.Sampled(id) {
 			t.Fatalf("sampling decision not deterministic for %s", id)
 		}

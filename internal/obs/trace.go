@@ -1,7 +1,7 @@
 // Package obs is the serving stack's observability plane: per-job
-// traces (one bounded in-memory ring of span sets, sampled at ingress
-// and propagated across replica hops), latency histograms with
-// Prometheus text exposition, and the CFI security audit log.
+// traces (one bounded in-memory ring of span sets, sampled at
+// ingress), latency histograms with Prometheus text exposition, and
+// the CFI security audit log.
 //
 // The package is deliberately free of HTTP and server types — it holds
 // the data structures; internal/server wires them to endpoints. All
@@ -17,8 +17,7 @@ import (
 )
 
 // Span names used across the serving pipeline. A job's trace is the
-// ordered set of these phases; a proxied job additionally carries the
-// proxying replica's relay span.
+// ordered set of these phases.
 const (
 	SpanAdmission = "admission" // ingress → admitted by the DWRR scheduler
 	SpanQueue     = "queue"     // admitted → dequeued by a worker
@@ -27,14 +26,12 @@ const (
 	SpanCompile   = "compile"   // build sub-phase: TU + libc compiles
 	SpanLink      = "link"      // build sub-phase: static link
 	SpanRun       = "run"       // guest execution in its vm.Process
-	SpanRelay     = "relay"     // proxy hop to the owning replica
 )
 
 // Span is one timed phase of a job, attributed to a trace.
 type Span struct {
 	Trace   string            `json:"trace"`
 	Name    string            `json:"name"`
-	Replica string            `json:"replica,omitempty"`
 	StartNs int64             `json:"start_unix_ns"`
 	DurNs   int64             `json:"dur_ns"`
 	Attrs   map[string]string `json:"attrs,omitempty"`
@@ -46,9 +43,8 @@ type Trace struct {
 	Spans []Span `json:"spans"`
 }
 
-// maxSpansPerTrace bounds one trace's span set: /v1/trace/{id} accepts
-// pushed spans from peers, and an unbounded set would let a hostile
-// peer grow one entry without limit.
+// maxSpansPerTrace bounds one trace's span set, so no job can grow
+// one ring entry without limit.
 const maxSpansPerTrace = 512
 
 // DefaultTraceBuffer is the default trace-ring capacity.
@@ -63,8 +59,7 @@ type RecorderStats struct {
 }
 
 // Recorder is a bounded in-memory ring of sampled traces. Sampling is
-// deterministic in the trace ID, so every replica that sees a
-// propagated ID makes the same keep/drop decision without coordination.
+// deterministic in the trace ID.
 type Recorder struct {
 	sample   float64 // fraction of traces kept, (0, 1]
 	capacity int
@@ -106,9 +101,8 @@ func Mint() string {
 }
 
 // Sampled reports whether spans under this trace ID are recorded. The
-// decision hashes the ID against the sample rate, so it is identical on
-// every replica running the same rate — a proxied job is either traced
-// end to end or not at all.
+// decision hashes the ID against the sample rate, so a job is either
+// traced end to end or not at all.
 func (r *Recorder) Sampled(id string) bool {
 	if r == nil || r.sample <= 0 || id == "" {
 		return false

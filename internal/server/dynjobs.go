@@ -10,7 +10,7 @@ import (
 // Dynamic-linking job kinds: synthesized guests that exercise MCFI's
 // update-transaction machinery under multi-tenant serving load. Both
 // kinds are deterministic functions of (kind, work), so their build
-// fingerprints route and cache like any other job.
+// fingerprints cache like any other job.
 
 const (
 	// defaultDlopenModules is the module count of a kind="dlopen" job

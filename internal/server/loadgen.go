@@ -16,16 +16,10 @@ import (
 	"mcfi/internal/workload"
 )
 
-// LoadConfig drives a load run against one serving endpoint or a
-// replica set.
+// LoadConfig drives a load run against one serving endpoint.
 type LoadConfig struct {
-	// BaseURL is a single server root, e.g. "http://127.0.0.1:8377".
-	// Addrs lists several replica roots; submissions round-robin
-	// across them (the replicas' own fingerprint routing decides where
-	// each job executes). Setting both treats BaseURL as one more
-	// replica.
+	// BaseURL is the server root, e.g. "http://127.0.0.1:8377".
 	BaseURL string
-	Addrs   []string
 	// Concurrency is the number of in-flight requests (default 8).
 	Concurrency int
 	// Requests is the total jobs to complete (default 3 per workload).
@@ -35,19 +29,10 @@ type LoadConfig struct {
 	Tenants []string
 	// Workloads cycles through these benchmark names (default: all 12).
 	Workloads []string
-	// Distinct > 0 switches the corpus from named workloads to Distinct
-	// deterministic synthetic sources (SyntheticFuncs functions each,
-	// default 256): build-heavy, run-light jobs whose working set
-	// exercises the build store rather than guest execution.
-	Distinct       int
-	SyntheticFuncs int
-	// Batch > 1 submits jobs through POST /v1/batch in groups of Batch
-	// (refused jobs are retried after the advertised Retry-After).
-	Batch int
 	// JobMix assigns relative weights to job kinds ("run", "dlopen",
 	// "jitsim"); jobs cycle through a deterministic weighted pattern.
 	// Empty or {"run": n} means plain run jobs only. Non-run kinds
-	// ignore the corpus settings (the server synthesizes their guests).
+	// ignore Workloads (the server synthesizes their guests).
 	JobMix map[string]int
 	// Work overrides the iteration count; 0 = reference inputs;
 	// UseTestWork uses each workload's reduced test scale instead.
@@ -94,32 +79,14 @@ type KindLoad struct {
 	DeltaPublishes int64 `json:"delta_publishes,omitempty"`
 }
 
-// ReplicaLoad is one replica's slice of a load run: jobs attributed by
-// the JobResult.Replica field (falling back to the submission address
-// outside cluster mode), plus that replica's final /metrics.
-type ReplicaLoad struct {
-	Addr    string `json:"addr"`
-	Jobs    int64  `json:"jobs"`
-	Proxied int64  `json:"proxied"`
-	// HitRate is the fraction of this replica's jobs served from any
-	// store tier (not freshly built).
-	HitRate    float64          `json:"hit_rate"`
-	StoreTiers map[string]int64 `json:"store_tiers"`
-	MeanMs     float64          `json:"mean_ms"`
-	P95Ms      float64          `json:"p95_ms"`
-	Metrics    *Metrics         `json:"metrics,omitempty"`
-}
-
 // LoadReport is the serving-throughput snapshot a load run emits
 // (the BENCH_*_serving.json schema).
 type LoadReport struct {
 	Kind        string   `json:"kind"` // "mcfi-serve-load"
-	Addrs       []string `json:"addrs"`
+	Addr        string   `json:"addr"`
 	Concurrency int      `json:"concurrency"`
 	Requests    int      `json:"requests"`
 	Workloads   []string `json:"workloads,omitempty"`
-	Distinct    int      `json:"distinct_sources,omitempty"`
-	BatchSize   int      `json:"batch_size,omitempty"`
 	Engine      string   `json:"engine"`
 
 	WallSecs     float64 `json:"wall_secs"`
@@ -138,54 +105,31 @@ type LoadReport struct {
 	// ("mem", "disk", "remote", "built") as reported per response.
 	StoreTiers map[string]int64 `json:"store_tiers"`
 	Rejected   int64            `json:"rejected_429"`
-	Proxied    int64            `json:"proxied_jobs"`
 	Statuses   map[string]int64 `json:"statuses"`
 
-	// TenantLoads, ReplicaLoads, and KindLoads break the run down by
-	// scheduling tenant, executing replica, and job kind.
-	TenantLoads  []TenantLoad  `json:"tenant_loads,omitempty"`
-	ReplicaLoads []ReplicaLoad `json:"replica_loads,omitempty"`
-	KindLoads    []KindLoad    `json:"kind_loads,omitempty"`
+	// TenantLoads and KindLoads break the run down by scheduling tenant
+	// and job kind.
+	TenantLoads []TenantLoad `json:"tenant_loads,omitempty"`
+	KindLoads   []KindLoad   `json:"kind_loads,omitempty"`
 
-	// ServerMetrics is the first endpoint's final /metrics document
-	// (kept for single-replica compatibility; per-replica metrics live
-	// in ReplicaLoads).
+	// ServerMetrics is the server's final /metrics document.
 	ServerMetrics *Metrics `json:"server_metrics,omitempty"`
 }
 
-// loadBucket accumulates per-tenant or per-replica observations.
+// loadBucket accumulates per-tenant or per-kind observations.
 type loadBucket struct {
 	jobs     int64
 	rejected int64
-	proxied  int64
-	hits     int64
 	updates  int64
 	deltas   int64
-	tiers    map[string]int64
 	latMs    []float64
 }
-
-func newBucket() *loadBucket { return &loadBucket{tiers: map[string]int64{}} }
 
 func (b *loadBucket) observe(res *JobResult, latMs float64) {
 	b.jobs++
 	b.latMs = append(b.latMs, latMs)
-	if res.StoreTier != "" {
-		b.tiers[res.StoreTier]++
-	}
-	if res.BuildCacheHit {
-		b.hits++
-	}
-	if res.Proxied {
-		b.proxied++
-	}
 	b.updates += res.Updates
 	b.deltas += res.DeltaPublishes
-}
-
-func meanP95(lats []float64) (mean, p95 float64) {
-	mean, qs := meanQuantiles(lats, 0.95)
-	return mean, qs[0]
 }
 
 // meanQuantiles returns the mean and the nearest-rank quantiles of a
@@ -217,7 +161,7 @@ func meanQuantiles(lats []float64, ps ...float64) (float64, []float64) {
 // loadRun is the shared mutable state of one RunLoad.
 type loadRun struct {
 	cfg    LoadConfig
-	addrs  []string
+	addr   string
 	client *http.Client
 	rep    *LoadReport
 
@@ -230,13 +174,12 @@ type loadRun struct {
 	hits     int64
 	results  int64
 	tenants  map[string]*loadBucket
-	replicas map[string]*loadBucket
 	kinds    map[string]*loadBucket
 }
 
-// RunLoad hammers the endpoint(s) with the configured corpus at the
+// RunLoad hammers the endpoint with the configured corpus at the
 // configured concurrency until Requests jobs complete, then snapshots
-// every replica's metrics. Queue-full rejections (HTTP 429) are
+// the server's metrics. Queue-full rejections (HTTP 429) are
 // counted and retried after the server's advertised Retry-After
 // (capped at RetryCap) — backpressure is an expected, measured
 // outcome, not a failure. Any transport-level error aborts the run.
@@ -244,34 +187,19 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 8
 	}
-	if cfg.Distinct <= 0 && len(cfg.Workloads) == 0 {
+	if len(cfg.Workloads) == 0 {
 		for _, w := range workload.All() {
 			cfg.Workloads = append(cfg.Workloads, w.Name)
 		}
 	}
 	if cfg.Requests <= 0 {
-		if cfg.Distinct > 0 {
-			cfg.Requests = 3 * cfg.Distinct
-		} else {
-			cfg.Requests = 3 * len(cfg.Workloads)
-		}
-	}
-	if cfg.SyntheticFuncs <= 0 {
-		cfg.SyntheticFuncs = 256
+		cfg.Requests = 3 * len(cfg.Workloads)
 	}
 	if cfg.RetryCap <= 0 {
 		cfg.RetryCap = 500 * time.Millisecond
 	}
-	var addrs []string
-	if cfg.BaseURL != "" {
-		addrs = append(addrs, normalizeURL(cfg.BaseURL))
-	}
-	for _, a := range cfg.Addrs {
-		if u := normalizeURL(a); u != "" {
-			addrs = append(addrs, u)
-		}
-	}
-	if len(addrs) == 0 {
+	addr := strings.TrimRight(strings.TrimSpace(cfg.BaseURL), "/")
+	if addr == "" {
 		return nil, fmt.Errorf("load: no server address configured")
 	}
 	client := cfg.Client
@@ -285,19 +213,16 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	}
 
 	lr := &loadRun{
-		cfg: cfg, addrs: addrs, client: client,
+		cfg: cfg, addr: addr, client: client,
 		mixPattern: mixPattern,
 		tenants:    map[string]*loadBucket{},
-		replicas:   map[string]*loadBucket{},
 		kinds:      map[string]*loadBucket{},
 		rep: &LoadReport{
 			Kind:        "mcfi-serve-load",
-			Addrs:       addrs,
+			Addr:        addr,
 			Concurrency: cfg.Concurrency,
 			Requests:    cfg.Requests,
 			Workloads:   cfg.Workloads,
-			Distinct:    cfg.Distinct,
-			BatchSize:   cfg.Batch,
 			Engine:      cfg.Engine,
 			Statuses:    map[string]int64{},
 			StoreTiers:  map[string]int64{},
@@ -374,9 +299,7 @@ func (lr *loadRun) tenantOf(n int) string {
 	return lr.cfg.Tenants[n%len(lr.cfg.Tenants)]
 }
 
-// reqOf builds job i. With a synthetic corpus the variant index is
-// LCG-scrambled so the access order is not a cache-friendly cycle: the
-// instantaneous working set is the whole corpus.
+// reqOf builds job i.
 func (lr *loadRun) reqOf(i int) JobRequest {
 	cfg := lr.cfg
 	jr := JobRequest{
@@ -385,12 +308,6 @@ func (lr *loadRun) reqOf(i int) JobRequest {
 	}
 	if kind := lr.kindOf(i); kind != "run" {
 		jr.Kind, jr.Work = kind, cfg.Work
-		return jr
-	}
-	if cfg.Distinct > 0 {
-		v := int((uint64(i)*6364136223846793005 + 1442695040888963407) >> 33 % uint64(cfg.Distinct))
-		jr.Source = SyntheticSource(v, cfg.SyntheticFuncs)
-		jr.Name = fmt.Sprintf("synth-%04d", v)
 		return jr
 	}
 	name := cfg.Workloads[i%len(cfg.Workloads)]
@@ -404,7 +321,7 @@ func (lr *loadRun) reqOf(i int) JobRequest {
 	return jr
 }
 
-func (lr *loadRun) record(res *JobResult, jr *JobRequest, tenant, addr string, latMs float64) {
+func (lr *loadRun) record(res *JobResult, jr *JobRequest, latMs float64) {
 	lr.mu.Lock()
 	defer lr.mu.Unlock()
 	lr.results++
@@ -416,55 +333,37 @@ func (lr *loadRun) record(res *JobResult, jr *JobRequest, tenant, addr string, l
 	if res.BuildCacheHit {
 		lr.hits++
 	}
-	if res.Proxied {
-		lr.rep.Proxied++
-	}
-	tn := tenant
-	if tn == "" {
-		tn = DefaultTenant
-	}
-	tb := lr.tenants[tn]
-	if tb == nil {
-		tb = newBucket()
-		lr.tenants[tn] = tb
-	}
-	tb.observe(res, latMs)
-	rn := res.Replica
-	if rn == "" {
-		rn = addr
-	}
-	rb := lr.replicas[rn]
-	if rb == nil {
-		rb = newBucket()
-		lr.replicas[rn] = rb
-	}
-	rb.observe(res, latMs)
+	lr.tenantBucket(jr.Tenant).observe(res, latMs)
 	kind := jr.Kind
 	if kind == "" {
 		kind = "run"
 	}
 	kb := lr.kinds[kind]
 	if kb == nil {
-		kb = newBucket()
+		kb = &loadBucket{}
 		lr.kinds[kind] = kb
 	}
 	kb.observe(res, latMs)
 }
 
-func (lr *loadRun) countRejected(tenant string, n int64) {
+// tenantBucket returns a tenant's bucket. Called with lr.mu held.
+func (lr *loadRun) tenantBucket(tenant string) *loadBucket {
+	if tenant == "" {
+		tenant = DefaultTenant
+	}
+	tb := lr.tenants[tenant]
+	if tb == nil {
+		tb = &loadBucket{}
+		lr.tenants[tenant] = tb
+	}
+	return tb
+}
+
+func (lr *loadRun) countRejected(tenant string) {
 	lr.mu.Lock()
 	defer lr.mu.Unlock()
-	lr.rep.Rejected += n
-	tn := tenant
-	if tn == "" {
-		tn = DefaultTenant
-	}
-	tb := lr.tenants[tn]
-	if tb == nil {
-		tb = newBucket()
-		lr.tenants[tn] = tb
-	}
-	tb.rejected += n
+	lr.rep.Rejected++
+	lr.tenantBucket(tenant).rejected++
 }
 
 func (lr *loadRun) fail(err error) {
@@ -475,18 +374,9 @@ func (lr *loadRun) fail(err error) {
 	lr.mu.Unlock()
 }
 
+// run runs Concurrency clients that each POST one job at a time
+// and returns the first transport error.
 func (lr *loadRun) run(ctx context.Context) error {
-	if lr.cfg.Batch > 1 {
-		lr.runBatched(ctx)
-	} else {
-		lr.runSingles(ctx)
-	}
-	lr.mu.Lock()
-	defer lr.mu.Unlock()
-	return lr.firstErr
-}
-
-func (lr *loadRun) runSingles(ctx context.Context) {
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for c := 0; c < lr.cfg.Concurrency; c++ {
@@ -496,14 +386,13 @@ func (lr *loadRun) runSingles(ctx context.Context) {
 			for i := range idx {
 				jr := lr.reqOf(i)
 				jr.Tenant = lr.tenantOf(i)
-				addr := lr.addrs[i%len(lr.addrs)]
 				t0 := time.Now()
-				res, err := lr.postJob(ctx, addr, jr)
+				res, err := lr.postJob(ctx, jr)
 				if err != nil {
 					lr.fail(err)
 					return
 				}
-				lr.record(res, &jr, jr.Tenant, addr, ms(time.Since(t0)))
+				lr.record(res, &jr, ms(time.Since(t0)))
 			}
 		}()
 	}
@@ -516,49 +405,9 @@ func (lr *loadRun) runSingles(ctx context.Context) {
 	}
 	close(idx)
 	wg.Wait()
-}
-
-// runBatched groups jobs into /v1/batch calls, one tenant per batch,
-// resubmitting rejected jobs after the advertised Retry-After.
-func (lr *loadRun) runBatched(ctx context.Context) {
-	type chunk struct {
-		start, n, batchNo int
-	}
-	chunks := make(chan chunk)
-	var wg sync.WaitGroup
-	for c := 0; c < lr.cfg.Concurrency; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ch := range chunks {
-				tenant := lr.tenantOf(ch.batchNo)
-				addr := lr.addrs[ch.batchNo%len(lr.addrs)]
-				jobs := make([]JobRequest, ch.n)
-				for k := 0; k < ch.n; k++ {
-					jobs[k] = lr.reqOf(ch.start + k)
-				}
-				if err := lr.postBatch(ctx, addr, tenant, jobs); err != nil {
-					lr.fail(err)
-					return
-				}
-			}
-		}()
-	}
-	batchNo := 0
-	for i := 0; i < lr.cfg.Requests; i += lr.cfg.Batch {
-		n := lr.cfg.Batch
-		if i+n > lr.cfg.Requests {
-			n = lr.cfg.Requests - i
-		}
-		select {
-		case chunks <- chunk{i, n, batchNo}:
-		case <-ctx.Done():
-			i = lr.cfg.Requests
-		}
-		batchNo++
-	}
-	close(chunks)
-	wg.Wait()
+	lr.mu.Lock()
+	defer lr.mu.Unlock()
+	return lr.firstErr
 }
 
 // retrySleep honors a server-advertised Retry-After (seconds), capped
@@ -580,14 +429,14 @@ func (lr *loadRun) retrySleep(ctx context.Context, header string, fallback time.
 }
 
 // postJob POSTs one job, retrying 429s per the server's Retry-After.
-func (lr *loadRun) postJob(ctx context.Context, base string, jr JobRequest) (*JobResult, error) {
+func (lr *loadRun) postJob(ctx context.Context, jr JobRequest) (*JobResult, error) {
 	body, err := json.Marshal(jr)
 	if err != nil {
 		return nil, err
 	}
 	fallback := 5 * time.Millisecond
 	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/run", bytes.NewReader(body))
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, lr.addr+"/v1/run", bytes.NewReader(body))
 		if err != nil {
 			return nil, err
 		}
@@ -609,7 +458,7 @@ func (lr *loadRun) postJob(ctx context.Context, base string, jr JobRequest) (*Jo
 			}
 			return &res, nil
 		case http.StatusTooManyRequests:
-			lr.countRejected(jr.Tenant, 1)
+			lr.countRejected(jr.Tenant)
 			if err := lr.retrySleep(ctx, resp.Header.Get("Retry-After"), fallback); err != nil {
 				return nil, err
 			}
@@ -622,66 +471,8 @@ func (lr *loadRun) postJob(ctx context.Context, base string, jr JobRequest) (*Jo
 	}
 }
 
-// postBatch submits one batch, recording executed results and
-// resubmitting rejected jobs until none remain.
-func (lr *loadRun) postBatch(ctx context.Context, addr, tenant string, jobs []JobRequest) error {
-	pending := jobs
-	for len(pending) > 0 {
-		breq := BatchRequest{Tenant: tenant, Jobs: pending}
-		body, err := json.Marshal(breq)
-		if err != nil {
-			return err
-		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+"/v1/batch", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		t0 := time.Now()
-		resp, err := lr.client.Do(req)
-		if err != nil {
-			return err
-		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			return fmt.Errorf("POST /v1/batch: %s: %s", resp.Status, bytes.TrimSpace(data))
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("POST /v1/batch: %s: %s", resp.Status, bytes.TrimSpace(data))
-		}
-		var bresp BatchResponse
-		if err := json.Unmarshal(data, &bresp); err != nil {
-			return fmt.Errorf("bad /v1/batch response: %v", err)
-		}
-		if len(bresp.Results) != len(pending) {
-			return fmt.Errorf("batch returned %d results for %d jobs", len(bresp.Results), len(pending))
-		}
-		perJobMs := ms(time.Since(t0)) / float64(len(pending))
-		var retry []JobRequest
-		for i := range bresp.Results {
-			res := bresp.Results[i]
-			if res.Status == StatusRejected {
-				retry = append(retry, pending[i])
-				continue
-			}
-			lr.record(&res, &pending[i], tenant, addr, perJobMs)
-		}
-		if len(retry) > 0 {
-			lr.countRejected(tenant, int64(len(retry)))
-			if err := lr.retrySleep(ctx, resp.Header.Get("Retry-After"), 50*time.Millisecond); err != nil {
-				return err
-			}
-		}
-		pending = retry
-	}
-	return nil
-}
-
-// finish derives rates and breakdowns and snapshots replica metrics.
+// finish derives rates and breakdowns and snapshots the server's
+// metrics.
 func (lr *loadRun) finish(ctx context.Context) {
 	rep := lr.rep
 	rep.JobsPerSec = float64(lr.results) / rep.WallSecs
@@ -715,44 +506,9 @@ func (lr *loadRun) finish(ctx context.Context) {
 		sort.Slice(rep.KindLoads, func(i, j int) bool { return rep.KindLoads[i].Kind < rep.KindLoads[j].Kind })
 	}
 
-	// Per-replica metrics snapshots, matched to execution buckets by
-	// the replica's self URL (or the submission addr when routing is
-	// off).
-	metricsByAddr := map[string]*Metrics{}
-	for _, a := range lr.addrs {
-		if m, err := fetchMetrics(ctx, lr.client, a); err == nil {
-			metricsByAddr[a] = m
-		}
-	}
-	names := make([]string, 0, len(lr.replicas))
-	for n := range lr.replicas {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		b := lr.replicas[n]
-		mean, p95 := meanP95(b.latMs)
-		rl := ReplicaLoad{
-			Addr: n, Jobs: b.jobs, Proxied: b.proxied,
-			StoreTiers: b.tiers, MeanMs: mean, P95Ms: p95,
-			Metrics: metricsByAddr[n],
-		}
-		if b.jobs > 0 {
-			rl.HitRate = float64(b.hits) / float64(b.jobs)
-		}
-		rep.ReplicaLoads = append(rep.ReplicaLoads, rl)
-	}
-	if m := metricsByAddr[lr.addrs[0]]; m != nil {
+	if m, err := fetchMetrics(ctx, lr.client, lr.addr); err == nil {
 		rep.ServerMetrics = m
 		rep.MinstrPerSecExec = m.Exec.MinstrPerSec
-	}
-	// Sum execution throughput across replicas when clustered.
-	if len(lr.addrs) > 1 {
-		var total float64
-		for _, m := range metricsByAddr {
-			total += m.Exec.MinstrPerSec
-		}
-		rep.MinstrPerSecExec = total
 	}
 }
 
@@ -777,17 +533,13 @@ func fetchMetrics(ctx context.Context, client *http.Client, base string) (*Metri
 // prints.
 func (r *LoadReport) Summary() string {
 	var b bytes.Buffer
-	corpus := fmt.Sprintf("%d workloads", len(r.Workloads))
-	if r.Distinct > 0 {
-		corpus = fmt.Sprintf("%d distinct sources", r.Distinct)
-	}
-	fmt.Fprintf(&b, "serving load: %d jobs, concurrency %d, %s, %d replicas, %.2fs wall\n",
-		r.Requests, r.Concurrency, corpus, len(r.Addrs), r.WallSecs)
+	fmt.Fprintf(&b, "serving load: %d jobs, concurrency %d, %d workloads, %.2fs wall\n",
+		r.Requests, r.Concurrency, len(r.Workloads), r.WallSecs)
 	fmt.Fprintf(&b, "  throughput: %.2f jobs/s, %.2f Minstr/s end-to-end, %.2f Minstr/s exec\n",
 		r.JobsPerSec, r.MinstrPerSecWall, r.MinstrPerSecExec)
-	fmt.Fprintf(&b, "  build store: %.0f%% hit rate (mem=%d disk=%d remote=%d built=%d); backpressure: %d rejections retried; %d jobs proxied\n",
+	fmt.Fprintf(&b, "  build store: %.0f%% hit rate (mem=%d disk=%d remote=%d built=%d); backpressure: %d rejections retried\n",
 		100*r.CacheHitRate, r.StoreTiers["mem"], r.StoreTiers["disk"],
-		r.StoreTiers["remote"], r.StoreTiers["built"], r.Rejected, r.Proxied)
+		r.StoreTiers["remote"], r.StoreTiers["built"], r.Rejected)
 	var keys []string
 	for k := range r.Statuses {
 		keys = append(keys, k)
@@ -801,10 +553,6 @@ func (r *LoadReport) Summary() string {
 	for _, t := range r.TenantLoads {
 		fmt.Fprintf(&b, "  tenant %-12s %5d jobs, %4d rejected, mean %.1fms, p50 %.1fms, p95 %.1fms, p99 %.1fms\n",
 			t.Tenant, t.Jobs, t.Rejected, t.MeanMs, t.P50Ms, t.P95Ms, t.P99Ms)
-	}
-	for _, rl := range r.ReplicaLoads {
-		fmt.Fprintf(&b, "  replica %-24s %5d jobs (%d proxied), %3.0f%% store hits, mean %.1fms, p95 %.1fms\n",
-			rl.Addr, rl.Jobs, rl.Proxied, 100*rl.HitRate, rl.MeanMs, rl.P95Ms)
 	}
 	for _, kl := range r.KindLoads {
 		fmt.Fprintf(&b, "  kind   %-12s %5d jobs, mean %.1fms, p50 %.1fms, p95 %.1fms, p99 %.1fms",

@@ -7,8 +7,6 @@ package server
 // formats can never disagree.
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"sort"
 	"strings"
@@ -20,23 +18,15 @@ import (
 // Version identifies the serving build (reported by /v1/healthz).
 const Version = "0.9.0"
 
-// maxTraceIDLen bounds an adopted (peer- or client-supplied) trace ID.
+// maxTraceIDLen bounds the trace ID a /v1/trace/{id} lookup accepts.
 const maxTraceIDLen = 64
 
-// maxTracePostBytes bounds one span-push body on /v1/trace/{id}.
-const maxTracePostBytes = 1 << 20
-
-// adoptTrace resolves a job's trace ID at ingress: mint one when the
-// caller did not propagate one, bound hostile lengths, and collapse to
-// "" (tracing off for this job) when the ID is not sampled — the
-// empty ID short-circuits every later span call to a nil check.
-func (s *Server) adoptTrace(id string) string {
-	if id == "" {
-		id = obs.Mint()
-	}
-	if len(id) > maxTraceIDLen {
-		id = id[:maxTraceIDLen]
-	}
+// mintTrace mints a job's trace ID at ingress, collapsing to "" (tracing
+// off for this job) when the ID is not sampled — the empty ID
+// short-circuits every later span call to a nil check. No caller can
+// choose the ID: a trace records only what this server observed.
+func (s *Server) mintTrace() string {
+	id := obs.Mint()
 	if !s.tracer.Sampled(id) {
 		return ""
 	}
@@ -68,84 +58,30 @@ func (s *Server) span(j *job, name string, start time.Time, dur time.Duration, a
 	s.tracer.Record(obs.Span{
 		Trace:   j.trace,
 		Name:    name,
-		Replica: s.self,
 		StartNs: start.UnixNano(),
 		DurNs:   dur.Nanoseconds(),
 		Attrs:   attrs,
 	})
 }
 
-// relaySpan records the proxy hop under the propagated trace and
-// pushes the span to the owner, whose ring holds the job's other
-// spans, so GET /v1/trace/{id} there returns the merged set. The push
-// is asynchronous best-effort: tracing must never slow down or fail
-// the data path.
-func (s *Server) relaySpan(trace, owner string, start time.Time, dur time.Duration) {
-	if trace == "" || !s.tracer.Sampled(trace) {
-		return
-	}
-	sp := obs.Span{
-		Trace:   trace,
-		Name:    obs.SpanRelay,
-		Replica: s.self,
-		StartNs: start.UnixNano(),
-		DurNs:   dur.Nanoseconds(),
-		Attrs:   map[string]string{"peer": owner},
-	}
-	s.tracer.Record(sp)
-	go s.pushSpans(owner, trace, []obs.Span{sp})
-}
-
-// pushSpans POSTs spans to a peer's /v1/trace/{id}.
-func (s *Server) pushSpans(owner, trace string, spans []obs.Span) {
-	body, err := json.Marshal(spans)
-	if err != nil {
-		return
-	}
-	req, err := http.NewRequest(http.MethodPost, owner+"/v1/trace/"+trace, strings.NewReader(string(body)))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := s.proxyClient.Do(req)
-	if err == nil {
-		resp.Body.Close()
-	}
-}
-
-// handleTrace serves GET /v1/trace/{id} (the recorded span set) and
-// accepts POST /v1/trace/{id} (span push from a proxying peer; spans
-// for unsampled or unknown IDs are dropped by the recorder's own
-// sampling rule, so a hostile push cannot force retention).
+// handleTrace serves GET /v1/trace/{id}: the span set this server
+// recorded for one of its own jobs.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		http.Error(w, "GET only", http.StatusMethodNotAllowed)
+		return
+	}
 	id := strings.TrimPrefix(r.URL.Path, "/v1/trace/")
 	if id == "" || strings.Contains(id, "/") || len(id) > maxTraceIDLen {
 		http.Error(w, "bad trace id", http.StatusBadRequest)
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		tr, ok := s.tracer.Get(id)
-		if !ok {
-			http.Error(w, "trace not found (unsampled, evicted, or never seen)", http.StatusNotFound)
-			return
-		}
-		writeJSON(w, tr)
-	case http.MethodPost:
-		var spans []obs.Span
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxTracePostBytes))
-		if err := dec.Decode(&spans); err != nil {
-			http.Error(w, fmt.Sprintf("bad span push: %v", err), http.StatusBadRequest)
-			return
-		}
-		for _, sp := range spans {
-			sp.Trace = id // the path, not the payload, names the trace
-			s.tracer.Record(sp)
-		}
-		w.WriteHeader(http.StatusNoContent)
-	default:
-		http.Error(w, "GET or POST only", http.StatusMethodNotAllowed)
+	tr, ok := s.tracer.Get(id)
+	if !ok {
+		http.Error(w, "trace not found (unsampled, evicted, or never seen)", http.StatusNotFound)
+		return
 	}
+	writeJSON(w, tr)
 }
 
 // AuditPage is the GET /v1/audit body.
@@ -192,10 +128,6 @@ func (s *Server) renderProm() []byte {
 	p.Counter("mcfi_jobs_completed_total", "jobs completed (any outcome)", float64(m.Jobs.Completed))
 	p.CounterVec("mcfi_jobs_rejected_total", "jobs refused at admission",
 		[]obs.Label{{Name: "scope", Value: "queue"}}, float64(m.Jobs.Rejected))
-	p.CounterVec("mcfi_jobs_rejected_total", "",
-		[]obs.Label{{Name: "scope", Value: "tenant"}}, float64(m.Jobs.TenantRejected))
-	p.Counter("mcfi_batches_total", "batch requests admitted", float64(m.Jobs.Batches))
-	p.Counter("mcfi_batch_jobs_total", "jobs admitted via batches", float64(m.Jobs.BatchJobs))
 	for _, o := range []struct {
 		outcome string
 		n       int64
@@ -214,7 +146,7 @@ func (s *Server) renderProm() []byte {
 
 	p.Gauge("mcfi_queue_depth", "jobs admitted but not yet running", float64(m.Queue.Depth))
 	p.Gauge("mcfi_queue_capacity", "shared admission queue bound", float64(m.Queue.Capacity))
-	p.Gauge("mcfi_workers", "current worker pool width", float64(m.Queue.Workers))
+	p.Gauge("mcfi_workers", "worker pool width", float64(m.Queue.Workers))
 	p.Gauge("mcfi_workers_busy", "workers currently executing a job", float64(m.Queue.Busy))
 
 	for _, t := range m.Tenants {
@@ -253,12 +185,6 @@ func (s *Server) renderProm() []byte {
 	p.Counter("mcfi_jit_blocks_compiled_total", "blockjit blocks compiled", float64(m.Exec.JITBlocks))
 	p.Counter("mcfi_jit_block_runs_total", "compiled-block dispatches", float64(m.Exec.JITBlockRuns))
 	p.Counter("mcfi_jit_cold_steps_total", "single-instruction dispatches under blockjit", float64(m.Exec.JITColdSteps))
-
-	if m.Cluster != nil {
-		p.Counter("mcfi_proxied_in_total", "jobs received via a routing hop", float64(m.Cluster.ProxiedIn))
-		p.Counter("mcfi_proxied_out_total", "jobs relayed to their owner", float64(m.Cluster.ProxiedOut))
-		p.Counter("mcfi_proxy_fallbacks_total", "relays that fell back to local execution", float64(m.Cluster.ProxyFallbacks))
-	}
 
 	p.Gauge("mcfi_trace_sample_rate", "fraction of jobs traced", m.Obs.TraceSampleRate)
 	p.Counter("mcfi_traces_sampled_total", "traces admitted to the ring", float64(m.Obs.TracesSampled))

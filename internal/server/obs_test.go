@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"mcfi/internal/mrt"
 	"mcfi/internal/obs"
@@ -143,77 +142,6 @@ func TestTraceSamplingOff(t *testing.T) {
 	}
 	if st := s.Tracer().Stats(); st.Spans != 0 {
 		t.Errorf("recorder holds %d spans with sampling off", st.Spans)
-	}
-}
-
-// TestClusterTraceMerged is the satellite requirement: a job submitted
-// through the non-owning replica carries ONE trace ID across both
-// replicas, and GET /v1/trace/{id} on the owner returns the merged
-// span set — the owner's execution spans plus the proxy's relay span.
-func TestClusterTraceMerged(t *testing.T) {
-	srvs, _ := newCluster(t, 2, nil)
-	jr := JobRequest{Source: helloSrc, Name: "hello"}
-
-	owner, ok := srvs[0].ownerOf(jr)
-	if !ok {
-		t.Fatal("no owner resolved")
-	}
-	var proxySrv *Server
-	for _, s := range srvs {
-		if s.self != owner {
-			proxySrv = s
-		}
-	}
-
-	res, _ := postRun(t, proxySrv.self, jr)
-	if res == nil || res.Status != StatusOK || !res.Proxied {
-		t.Fatalf("proxied run: %+v", res)
-	}
-	if res.TraceID == "" {
-		t.Fatal("proxied job returned no trace ID")
-	}
-
-	// The relay span is pushed to the owner asynchronously; poll.
-	var tr obs.Trace
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var code int
-		tr, code = getTrace(t, owner, res.TraceID)
-		if code == http.StatusOK && spanByName(tr, obs.SpanRelay) != nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("owner trace never merged relay span: code=%d spans=%+v", code, tr.Spans)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	for _, name := range []string{obs.SpanAdmission, obs.SpanQueue, obs.SpanBuild,
-		obs.SpanRun, obs.SpanRelay} {
-		sp := spanByName(tr, name)
-		if sp == nil {
-			t.Errorf("merged trace missing %q span", name)
-			continue
-		}
-		if sp.Trace != res.TraceID {
-			t.Errorf("%q span trace = %q, want %q", name, sp.Trace, res.TraceID)
-		}
-		if sp.DurNs <= 0 {
-			t.Errorf("%q span duration = %dns, want > 0", name, sp.DurNs)
-		}
-		want := owner
-		if name == obs.SpanRelay {
-			want = proxySrv.self
-		}
-		if sp.Replica != want {
-			t.Errorf("%q span replica = %q, want %q", name, sp.Replica, want)
-		}
-	}
-
-	// The proxy's own ring holds its relay span under the same ID.
-	ptr, ok := proxySrv.Tracer().Get(res.TraceID)
-	if !ok || spanByName(ptr, obs.SpanRelay) == nil {
-		t.Errorf("proxy ring missing relay span for %s", res.TraceID)
 	}
 }
 

@@ -1,26 +1,17 @@
 // Package server is the MCFI execution service: a long-running,
 // multi-tenant front end over the toolchain + runtime + VM stack.
 // Jobs (a named workload or raw MiniC source) are compiled through a
-// content-addressed build cache, then executed each in its own
-// sandboxed vm.Process on an elastic worker pool with per-job
-// instruction budgets and wall-clock timeouts.
+// content-addressed build store (mem, disk and remote tiers), then
+// executed each in its own sandboxed vm.Process on a fixed worker pool
+// with per-job instruction budgets and wall-clock timeouts.
 //
 // Admission runs through a per-tenant deficit-weighted round-robin
-// scheduler (internal/cluster): each tenant gets a service share
-// proportional to its weight, bounded by per-tenant in-flight and
-// instruction-budget quotas, so one hot tenant cannot starve the
-// rest. Overflow is refused immediately (HTTP 429 with a Retry-After
-// derived from the observed drain rate), and shutdown is a graceful
-// drain: stop admitting, finish or cancel in-flight jobs, keep
-// /metrics readable throughout.
-//
-// When configured with a replica set (Config.Peers/Self), jobs route
-// by build fingerprint over a consistent-hash ring: each replica owns
-// a shard of the fingerprint space and transparently proxies the rest
-// to their owners (a single hop, falling back to local execution when
-// the owner is down or draining), so every replica's store tiers stay
-// hot for its shard. See cluster.go for routing and batch.go for the
-// job-array surface.
+// scheduler (internal/cluster): each backlogged tenant gets a service
+// share proportional to its weight, so one hot tenant cannot starve
+// the rest. Overflow of the shared queue is refused immediately (HTTP
+// 429 with a Retry-After derived from the observed drain rate), and
+// shutdown is a graceful drain: stop admitting, finish or cancel
+// in-flight jobs, keep /metrics readable throughout.
 //
 // The point of the service (vs. the one-shot CLIs) is that MCFI's
 // policy machinery keeps enforcing while untrusted code runs
@@ -38,7 +29,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,10 +52,10 @@ const (
 	StatusCancelled  = "cancelled"        // caller went away or server drained
 	StatusBudget     = "budget_exhausted" // instruction budget ran out
 	StatusBuildError = "build_error"      // source failed to compile/link
-	// StatusRejected appears only in batch responses: the job was
-	// refused at admission (quota or queue full) and never executed.
-	StatusRejected = "rejected"
 )
+
+// maxRequestBytes bounds one /v1/run request body.
+const maxRequestBytes = 32 << 20
 
 // DefaultTenant is the tenant name applied to requests that do not
 // set one.
@@ -75,9 +65,6 @@ const DefaultTenant = "default"
 var (
 	// ErrBusy: the shared admission queue is full (backpressure; HTTP 429).
 	ErrBusy = errors.New("server: queue full")
-	// ErrTenantBusy: the job's tenant is over its quota while the
-	// server may have capacity for others (HTTP 429, scoped).
-	ErrTenantBusy = errors.New("server: tenant over quota")
 	// ErrDraining: the server no longer admits jobs (HTTP 503).
 	ErrDraining = errors.New("server: draining")
 )
@@ -100,8 +87,8 @@ type JobRequest struct {
 	// calls through each stage). The dynamic kinds take no workload or
 	// source; Work scales the module count.
 	Kind string `json:"kind,omitempty"`
-	// Tenant attributes the job for weighted-fair scheduling and
-	// quotas (default "default").
+	// Tenant attributes the job for weighted-fair scheduling (default
+	// "default").
 	Tenant string `json:"tenant,omitempty"`
 	// Baseline skips MCFI instrumentation; Profile selects 32/64
 	// (default 64); Engine selects any vm.EngineNames() entry (default
@@ -127,13 +114,8 @@ type JobResult struct {
 	Status   string `json:"status"`
 	ExitCode int64  `json:"exit_code"`
 	Instret  int64  `json:"instret"`
-	// Tenant echoes the scheduling tenant; Replica names the replica
-	// that executed the job (Config.Self, empty outside cluster mode);
-	// Proxied reports that the job reached its executor via a routing
-	// hop from another replica.
-	Tenant  string `json:"tenant,omitempty"`
-	Replica string `json:"replica,omitempty"`
-	Proxied bool   `json:"proxied,omitempty"`
+	// Tenant echoes the scheduling tenant.
+	Tenant string `json:"tenant,omitempty"`
 	// StoreTier names where the job's image came from: "mem", "disk",
 	// "remote", or "built" (compiled for this job). BuildCacheHit is
 	// the legacy boolean view of the same fact (any tier but "built").
@@ -152,9 +134,9 @@ type JobResult struct {
 	Error          string     `json:"error,omitempty"`
 	Fault          *FaultInfo `json:"fault,omitempty"`
 	// TraceID names the job's recorded trace, retrievable at
-	// /v1/trace/{id} on the executing replica while it stays in the
-	// ring (empty when the job was not sampled). Phases is the
-	// phase-duration summary attached to every completed job.
+	// /v1/trace/{id} while it stays in the ring (empty when the job
+	// was not sampled). Phases is the phase-duration summary attached
+	// to every completed job.
 	TraceID string        `json:"trace_id,omitempty"`
 	Phases  *PhaseSummary `json:"phases,omitempty"`
 }
@@ -174,27 +156,14 @@ type PhaseSummary struct {
 
 // Config sizes the service.
 type Config struct {
-	// Workers is the execution pool width when the pool is fixed
-	// (default 4). WorkersMin/WorkersMax, when they describe a real
-	// range (Max > Min), enable the queue-latency autoscaler between
-	// those bounds; otherwise the pool stays at WorkersMin (which
-	// defaults to Workers).
-	Workers    int
-	WorkersMin int
-	WorkersMax int
-	// AutoscaleTarget is the p95 queue-latency ceiling the autoscaler
-	// defends (default 100ms).
-	AutoscaleTarget time.Duration
+	// Workers is the execution pool width (default 4).
+	Workers int
 	// QueueDepth bounds jobs admitted but not yet running across all
-	// tenants; overflow is rejected with ErrBusy (default 2×WorkersMax).
+	// tenants; overflow is rejected with ErrBusy (default 2×Workers).
 	QueueDepth int
 	// TenantWeights sets per-tenant DWRR service shares (unlisted
-	// tenants get TenantQuota.Weight, minimum 1).
+	// tenants weigh 1).
 	TenantWeights map[string]int
-	// TenantQuota is the default per-tenant quota: zero fields are
-	// unlimited. Weight here is the default weight for tenants not in
-	// TenantWeights.
-	TenantQuota cluster.Quota
 	// CacheEntries bounds the in-memory store tier (default
 	// buildstore.DefaultMemEntries).
 	CacheEntries int
@@ -203,30 +172,17 @@ type Config struct {
 	// server processes may share the directory.
 	StoreDir string
 	// RemoteStore, when set, adds a remote store tier: the base URL of
-	// a peer mcfi-serve (or shared cache) whose /v1/store endpoint is
+	// another mcfi-serve (or shared cache) whose /v1/store endpoint is
 	// consulted after mem and disk, and published to on fresh builds
 	// (publishing requires StoreSecret).
 	RemoteStore string
-	// StoreSecret is the shared cluster secret that authenticates the
+	// StoreSecret is the shared secret that authenticates the
 	// /v1/store write plane: PUTs this server accepts, and blobs this
 	// server fetches from or publishes to RemoteStore, carry an
 	// HMAC binding payload to key. Empty means the store surface is
 	// read-only: all incoming PUTs are refused, nothing is published to
-	// the peer, and fetched blobs are integrity-checked only.
+	// RemoteStore, and fetched blobs are integrity-checked only.
 	StoreSecret string
-	// Peers is the replica set for fingerprint-keyed job routing: base
-	// URLs of every replica including this one. Empty disables
-	// routing. Self must name this replica's own base URL (as it
-	// appears to peers) whenever Peers is set.
-	Peers []string
-	Self  string
-	// VNodes is the consistent-hash virtual-node count per replica
-	// (default cluster.DefaultVNodes).
-	VNodes int
-	// ProxyTimeout caps one routed job round trip (default
-	// DefaultTimeout + 30s, so a proxied job can queue and run to its
-	// own deadline before the hop gives up).
-	ProxyTimeout time.Duration
 	// DefaultMaxInstr is the per-job instruction budget when a request
 	// does not set one (default 2e9). <0 disables the default.
 	DefaultMaxInstr int64
@@ -239,8 +195,8 @@ type Config struct {
 	// pool itself provides the parallelism).
 	BuildJobs int
 	// TraceSample is the fraction of jobs traced end to end, decided
-	// deterministically from the trace ID so replicas agree without
-	// coordination (0 → default 1.0; negative → tracing off).
+	// deterministically from the trace ID (0 → default 1.0; negative →
+	// tracing off).
 	TraceSample float64
 	// TraceBuffer bounds retained traces (default
 	// obs.DefaultTraceBuffer); the oldest trace is evicted first.
@@ -257,29 +213,14 @@ func (c *Config) fillDefaults() {
 	if c.Workers <= 0 {
 		c.Workers = 4
 	}
-	if c.WorkersMin <= 0 {
-		c.WorkersMin = c.Workers
-	}
-	if c.WorkersMax < c.WorkersMin {
-		c.WorkersMax = c.WorkersMin
-	}
-	if c.AutoscaleTarget <= 0 {
-		c.AutoscaleTarget = 100 * time.Millisecond
-	}
 	if c.QueueDepth <= 0 {
-		c.QueueDepth = 2 * c.WorkersMax
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = cluster.DefaultVNodes
+		c.QueueDepth = 2 * c.Workers
 	}
 	if c.DefaultMaxInstr == 0 {
 		c.DefaultMaxInstr = 2_000_000_000
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 60 * time.Second
-	}
-	if c.ProxyTimeout <= 0 {
-		c.ProxyTimeout = c.DefaultTimeout + 30*time.Second
 	}
 	if c.MaxOutputBytes <= 0 {
 		c.MaxOutputBytes = 1 << 20
@@ -299,10 +240,8 @@ type job struct {
 	req      JobRequest
 	ctx      context.Context
 	tenant   string
-	cost     int64 // effective instruction budget (0 = unlimited)
 	maxInstr int64
 	timeout  time.Duration
-	proxied  bool
 	queuedAt time.Time     // ingress (job creation)
 	admitted time.Time     // scheduler accepted (zero if tracing off)
 	admitDur time.Duration // ingress → admitted
@@ -310,10 +249,6 @@ type job struct {
 	trace    string        // sampled trace ID, "" when unsampled
 	res      JobResult
 	done     chan struct{}
-}
-
-type workerHandle struct {
-	quit chan struct{}
 }
 
 // Server is one running MCFI execution service.
@@ -331,27 +266,14 @@ type Server struct {
 	force     context.Context
 	forceStop context.CancelFunc
 
-	poolMu  sync.Mutex
-	handles []*workerHandle
 	workers sync.WaitGroup
 	busy    atomic.Int64
 
-	qlat        *cluster.Window    // queue-wait samples (at dequeue)
 	completions *cluster.RateMeter // drain rate, powers Retry-After
 
-	scaler     *cluster.Autoscaler
-	scalerStop chan struct{}
-	scalerDone chan struct{}
-
-	// Cluster routing state (nil/empty outside cluster mode).
-	ring        *cluster.Ring
-	self        string
-	proxyClient *http.Client
-	peerMu      sync.Mutex
-	peers       map[string]*peerState
-
 	// Observability plane: the sampled trace ring, the CFI audit log,
-	// and the latency histograms behind ?format=prom.
+	// and the latency histograms behind ?format=prom. queueHist also
+	// yields the queue-wait percentiles of the JSON metrics.
 	tracer    *obs.Recorder
 	audit     *obs.AuditLog
 	queueHist *obs.HistVec // by tenant
@@ -360,9 +282,6 @@ type Server struct {
 
 	// Metrics counters (lock-free).
 	accepted, completed, rejected          atomic.Int64
-	tenantRejected                         atomic.Int64
-	batches, batchJobs                     atomic.Int64
-	proxiedIn, proxiedOut, proxyFallbacks  atomic.Int64
 	ok, cfi, faults, timeouts, cancelled   atomic.Int64
 	budget, buildErrs                      atomic.Int64
 	instret, execNanos                     atomic.Int64
@@ -375,8 +294,7 @@ type Server struct {
 // New starts a server's worker pool, assembling the build store from
 // the config: always an in-memory tier, plus a disk tier when StoreDir
 // is set and a remote tier when RemoteStore is set. It fails when the
-// store directory cannot be opened or the cluster config is
-// inconsistent. Callers must eventually Drain.
+// store directory cannot be opened. Callers must eventually Drain.
 func New(cfg Config) (*Server, error) {
 	cfg.fillDefaults()
 	tiers := []buildstore.Store{buildstore.NewMem(cfg.CacheEntries)}
@@ -393,20 +311,14 @@ func New(cfg Config) (*Server, error) {
 		tiers = append(tiers, buildstore.NewRemote(cfg.RemoteStore, nil, cfg.StoreSecret))
 	}
 
-	tenants := make(map[string]cluster.Quota, len(cfg.TenantWeights))
-	for name, w := range cfg.TenantWeights {
-		tenants[name] = cluster.Quota{Weight: w}
-	}
 	s := &Server{
 		cfg:   cfg,
 		store: buildstore.NewTiered(tiers...),
 		disk:  disk,
 		sched: cluster.NewSched[*job](cluster.SchedConfig{
 			TotalQueue: cfg.QueueDepth,
-			Default:    cfg.TenantQuota,
-			Tenants:    tenants,
+			Weights:    cfg.TenantWeights,
 		}),
-		qlat:        cluster.NewWindow(1024),
 		completions: cluster.NewRateMeter(512, 10*time.Second),
 		start:       time.Now(),
 		tracer:      obs.NewRecorder(cfg.TraceSample, cfg.TraceBuffer),
@@ -417,93 +329,18 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.force, s.forceStop = context.WithCancel(context.Background())
 
-	if len(cfg.Peers) > 0 {
-		self := normalizeURL(cfg.Self)
-		if self == "" {
-			s.store.Close()
-			return nil, fmt.Errorf("server: Peers set but Self empty (each replica must know its own base URL)")
-		}
-		peers := make([]string, 0, len(cfg.Peers)+1)
-		seen := map[string]bool{}
-		for _, p := range append([]string{self}, cfg.Peers...) {
-			if u := normalizeURL(p); u != "" && !seen[u] {
-				seen[u] = true
-				peers = append(peers, u)
-			}
-		}
-		s.self = self
-		s.ring = cluster.NewRing(cfg.VNodes, peers...)
-		s.peers = make(map[string]*peerState, len(peers))
-		for _, p := range peers {
-			if p != self {
-				s.peers[p] = &peerState{}
-			}
-		}
-		s.proxyClient = &http.Client{Timeout: cfg.ProxyTimeout}
-	}
-
-	s.resize(cfg.WorkersMin)
-	if cfg.WorkersMax > cfg.WorkersMin {
-		s.scaler = cluster.NewAutoscaler(cluster.AutoscaleConfig{
-			Min: cfg.WorkersMin, Max: cfg.WorkersMax,
-			TargetP95: cfg.AutoscaleTarget,
-		})
-		s.scalerStop = make(chan struct{})
-		s.scalerDone = make(chan struct{})
-		go func() {
-			defer close(s.scalerDone)
-			s.scaler.Run(s.scalerStop,
-				func() cluster.Sample {
-					return cluster.Sample{
-						P95:   s.qlat.Quantiles(0.95)[0],
-						Depth: s.sched.Queued(),
-						Busy:  int(s.busy.Load()),
-					}
-				},
-				s.Workers,
-				func(n int) { s.resize(n) },
-			)
-		}()
+	s.workers.Add(cfg.Workers)
+	for range cfg.Workers {
+		go s.worker()
 	}
 	return s, nil
 }
 
-func normalizeURL(u string) string { return strings.TrimRight(strings.TrimSpace(u), "/") }
-
 // Store exposes the server's build store (metrics, tests, warm-up).
 func (s *Server) Store() *buildstore.Tiered { return s.store }
 
-// Workers reports the current pool width.
-func (s *Server) Workers() int {
-	s.poolMu.Lock()
-	defer s.poolMu.Unlock()
-	return len(s.handles)
-}
-
-// resize grows or shrinks the pool to n workers. Shrinking signals
-// the newest workers to exit after their current job; their queued
-// work stays with the survivors.
-func (s *Server) resize(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.poolMu.Lock()
-	defer s.poolMu.Unlock()
-	for len(s.handles) < n {
-		h := &workerHandle{quit: make(chan struct{})}
-		s.handles = append(s.handles, h)
-		s.workers.Add(1)
-		go s.worker(h)
-	}
-	for len(s.handles) > n {
-		h := s.handles[len(s.handles)-1]
-		s.handles = s.handles[:len(s.handles)-1]
-		close(h.quit)
-	}
-}
-
 // newJob resolves a request's effective limits and tenant.
-func (s *Server) newJob(ctx context.Context, req JobRequest, proxied bool) *job {
+func (s *Server) newJob(ctx context.Context, req JobRequest) *job {
 	tenant := req.Tenant
 	if tenant == "" {
 		tenant = DefaultTenant
@@ -521,117 +358,31 @@ func (s *Server) newJob(ctx context.Context, req JobRequest, proxied bool) *job 
 	}
 	return &job{
 		req: req, ctx: ctx, tenant: tenant,
-		cost: maxInstr, maxInstr: maxInstr, timeout: timeout,
-		proxied: proxied, queuedAt: time.Now(), done: make(chan struct{}),
-	}
-}
-
-// submitJob admits one job through the scheduler, mapping scheduler
-// errors to the server's admission errors and counting rejections.
-func (s *Server) submitJob(j *job) error {
-	s.stampAdmission(j)
-	err := s.sched.Submit(j.tenant, j.cost, j)
-	switch {
-	case err == nil:
-		s.accepted.Add(1)
-		s.admitSpan(j)
-		return nil
-	case errors.Is(err, cluster.ErrClosed):
-		return ErrDraining
-	case errors.Is(err, cluster.ErrQueueFull):
-		s.rejected.Add(1)
-		return ErrBusy
-	default:
-		var qe *cluster.QuotaError
-		if errors.As(err, &qe) {
-			s.tenantRejected.Add(1)
-			return fmt.Errorf("%w: %s", ErrTenantBusy, qe.Reason)
-		}
-		return err
+		maxInstr: maxInstr, timeout: timeout,
+		queuedAt: time.Now(), done: make(chan struct{}),
 	}
 }
 
 // Submit admits a job and blocks until it completes. It returns
-// ErrBusy/ErrTenantBusy when admission refuses (backpressure) and
+// ErrBusy when the shared queue refuses it (backpressure) and
 // ErrDraining after Drain started; every other outcome (including CFI
-// violations and faults) is a JobResult, not an error.
+// violations and faults) is a JobResult, not an error. The job's trace
+// ID is minted here, at ingress.
 func (s *Server) Submit(ctx context.Context, req JobRequest) (JobResult, error) {
-	return s.submit(ctx, req, false)
-}
-
-func (s *Server) submit(ctx context.Context, req JobRequest, proxied bool) (JobResult, error) {
-	return s.submitTraced(ctx, req, proxied, "")
-}
-
-// submitTraced is submit with an ingress-minted (or peer-propagated)
-// trace ID; empty mints a fresh one.
-func (s *Server) submitTraced(ctx context.Context, req JobRequest, proxied bool, trace string) (JobResult, error) {
-	j := s.newJob(ctx, req, proxied)
-	j.trace = s.adoptTrace(trace)
-	if err := s.submitJob(j); err != nil {
-		return JobResult{}, err
+	j := s.newJob(ctx, req)
+	j.trace = s.mintTrace()
+	s.stampAdmission(j)
+	if err := s.sched.Submit(j.tenant, j); err != nil {
+		if errors.Is(err, cluster.ErrClosed) {
+			return JobResult{}, ErrDraining
+		}
+		s.rejected.Add(1) // cluster.ErrQueueFull
+		return JobResult{}, ErrBusy
 	}
+	s.accepted.Add(1)
+	s.admitSpan(j)
 	<-j.done
 	return j.res, nil
-}
-
-// SubmitBatch atomically admits every request (all under one tenant)
-// or none, then blocks until all complete. Results are in request
-// order. Admission errors mirror Submit's.
-func (s *Server) SubmitBatch(ctx context.Context, tenant string, reqs []JobRequest) ([]JobResult, error) {
-	jobs, err := s.admitBatch(ctx, tenant, reqs, false)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]JobResult, len(jobs))
-	for i, j := range jobs {
-		<-j.done
-		results[i] = j.res
-	}
-	return results, nil
-}
-
-// admitBatch admits all-or-nothing and returns the live jobs.
-func (s *Server) admitBatch(ctx context.Context, tenant string, reqs []JobRequest, proxied bool) ([]*job, error) {
-	if tenant == "" {
-		tenant = DefaultTenant
-	}
-	jobs := make([]*job, len(reqs))
-	costs := make([]int64, len(reqs))
-	for i, req := range reqs {
-		if req.Tenant != "" && req.Tenant != tenant {
-			return nil, fmt.Errorf("batch tenant %q conflicts with job %d tenant %q", tenant, i, req.Tenant)
-		}
-		req.Tenant = tenant
-		jobs[i] = s.newJob(ctx, req, proxied)
-		jobs[i].tenant = tenant
-		jobs[i].trace = s.adoptTrace("")
-		costs[i] = jobs[i].cost
-		s.stampAdmission(jobs[i])
-	}
-	err := s.sched.SubmitBatch(tenant, costs, jobs)
-	switch {
-	case err == nil:
-		s.accepted.Add(int64(len(jobs)))
-		s.batches.Add(1)
-		s.batchJobs.Add(int64(len(jobs)))
-		for _, j := range jobs {
-			s.admitSpan(j)
-		}
-		return jobs, nil
-	case errors.Is(err, cluster.ErrClosed):
-		return nil, ErrDraining
-	case errors.Is(err, cluster.ErrQueueFull):
-		s.rejected.Add(int64(len(jobs)))
-		return nil, ErrBusy
-	default:
-		var qe *cluster.QuotaError
-		if errors.As(err, &qe) {
-			s.tenantRejected.Add(int64(len(jobs)))
-			return nil, fmt.Errorf("%w: %s", ErrTenantBusy, qe.Reason)
-		}
-		return nil, err
-	}
 }
 
 // Drain stops admission, waits for queued and in-flight jobs to finish,
@@ -642,11 +393,6 @@ func (s *Server) Drain(ctx context.Context) {
 	if s.draining.Swap(true) {
 		s.workers.Wait()
 		return
-	}
-	// Stop the autoscaler first so no resize races the shutdown.
-	if s.scalerStop != nil {
-		close(s.scalerStop)
-		<-s.scalerDone
 	}
 	// No new admissions; workers exit once the scheduler drains.
 	s.sched.Close()
@@ -669,15 +415,14 @@ func (s *Server) Drain(ctx context.Context) {
 // Draining reports whether Drain has started.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-func (s *Server) worker(h *workerHandle) {
+func (s *Server) worker() {
 	defer s.workers.Done()
 	for {
-		j, ok := s.sched.Next(h.quit)
+		j, ok := s.sched.Next()
 		if !ok {
 			return
 		}
 		j.wait = time.Since(j.queuedAt)
-		s.qlat.Observe(j.wait)
 		s.queueHist.Observe(j.tenant, j.wait)
 		if !j.admitted.IsZero() {
 			s.span(j, obs.SpanQueue, j.admitted, time.Since(j.admitted),
@@ -686,7 +431,7 @@ func (s *Server) worker(h *workerHandle) {
 		s.busy.Add(1)
 		j.res = s.runJob(j)
 		s.recordResult(j.res)
-		s.sched.Done(j.tenant, j.cost)
+		s.sched.Done(j.tenant)
 		s.completions.Observe(time.Now())
 		s.busy.Add(-1)
 		close(j.done)
@@ -793,8 +538,6 @@ func (s *Server) runJob(j *job) JobResult {
 	res := JobResult{
 		QueueMs: ms(j.wait),
 		Tenant:  j.tenant,
-		Replica: s.self,
-		Proxied: j.proxied,
 		TraceID: j.trace,
 	}
 	if err := j.ctx.Err(); err != nil {
@@ -921,7 +664,6 @@ func (s *Server) runJob(j *job) JobResult {
 			s.audit.Emit(obs.AuditRecord{
 				Trace:       j.trace,
 				Tenant:      j.tenant,
-				Replica:     s.self,
 				Job:         src.Name,
 				Engine:      engine.String(),
 				Fingerprint: b.Fingerprint(src),
@@ -982,6 +724,12 @@ func (s *Server) recordResult(res JobResult) {
 
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
+// queuePercentiles reads p50/p95/p99 in milliseconds from a
+// queue-wait histogram.
+func queuePercentiles(h obs.HistSnapshot) (p50, p95, p99 float64) {
+	return ms(h.Quantile(0.50)), ms(h.Quantile(0.95)), ms(h.Quantile(0.99))
+}
+
 // --- metrics ---
 
 // Metrics is the /metrics document.
@@ -991,8 +739,6 @@ type Metrics struct {
 	Jobs       JobCounts             `json:"jobs"`
 	Queue      QueueState            `json:"queue"`
 	Tenants    []cluster.TenantStats `json:"tenants,omitempty"`
-	Autoscale  *AutoscaleMetrics     `json:"autoscale,omitempty"`
-	Cluster    *ClusterMetrics       `json:"cluster,omitempty"`
 	BuildStore buildstore.Metrics    `json:"build_store"`
 	Exec       ExecMetrics           `json:"exec"`
 	Obs        ObsMetrics            `json:"obs"`
@@ -1012,14 +758,9 @@ type ObsMetrics struct {
 
 // JobCounts breaks down admission and outcomes.
 type JobCounts struct {
-	Accepted  int64 `json:"accepted"`
-	Completed int64 `json:"completed"`
-	Rejected  int64 `json:"rejected"`
-	// TenantRejected counts per-tenant quota refusals (a subset of
-	// backpressure distinct from shared-queue rejections).
-	TenantRejected  int64 `json:"tenant_rejected"`
-	Batches         int64 `json:"batches"`
-	BatchJobs       int64 `json:"batch_jobs"`
+	Accepted        int64 `json:"accepted"`
+	Completed       int64 `json:"completed"`
+	Rejected        int64 `json:"rejected"`
 	Ok              int64 `json:"ok"`
 	CFIViolations   int64 `json:"cfi_violations"`
 	Faults          int64 `json:"faults"`
@@ -1029,9 +770,10 @@ type JobCounts struct {
 	BuildErrors     int64 `json:"build_errors"`
 }
 
-// QueueState reports live backpressure, including queue-latency
-// percentiles over the recent sample window (what the autoscaler
-// steers on) and the Retry-After estimate 429s currently carry.
+// QueueState reports live backpressure, including queue-wait
+// percentiles since start (interpolated from the queue-wait
+// histogram's buckets) and the Retry-After estimate 429s currently
+// carry.
 type QueueState struct {
 	Depth          int     `json:"depth"`
 	Capacity       int     `json:"capacity"`
@@ -1041,31 +783,6 @@ type QueueState struct {
 	P95Ms          float64 `json:"queue_p95_ms"`
 	P99Ms          float64 `json:"queue_p99_ms"`
 	RetryAfterSecs int     `json:"retry_after_secs"`
-}
-
-// AutoscaleMetrics reports the worker autoscaler's state.
-type AutoscaleMetrics struct {
-	Enabled bool `json:"enabled"`
-	Workers int  `json:"workers"`
-	cluster.AutoscaleStats
-}
-
-// PeerStatus is one replica's health as seen from this one.
-type PeerStatus struct {
-	URL       string `json:"url"`
-	Self      bool   `json:"self,omitempty"`
-	Up        bool   `json:"up"`
-	ProxiedTo int64  `json:"proxied_to,omitempty"`
-}
-
-// ClusterMetrics reports fingerprint-routing state.
-type ClusterMetrics struct {
-	Self           string       `json:"self"`
-	VNodes         int          `json:"vnodes"`
-	Peers          []PeerStatus `json:"peers"`
-	ProxiedIn      int64        `json:"proxied_in"`
-	ProxiedOut     int64        `json:"proxied_out"`
-	ProxyFallbacks int64        `json:"proxy_fallbacks"`
 }
 
 // ExecMetrics aggregates guest execution across all completed jobs.
@@ -1092,7 +809,7 @@ type ExecMetrics struct {
 func (s *Server) MetricsSnapshot() Metrics {
 	execSecs := float64(s.execNanos.Load()) / 1e9
 	instret := s.instret.Load()
-	qs := s.qlat.Quantiles(0.50, 0.95, 0.99)
+	queue := s.queueHist.Snapshot()
 	m := Metrics{
 		UptimeSecs: time.Since(s.start).Seconds(),
 		Draining:   s.Draining(),
@@ -1100,9 +817,6 @@ func (s *Server) MetricsSnapshot() Metrics {
 			Accepted:        s.accepted.Load(),
 			Completed:       s.completed.Load(),
 			Rejected:        s.rejected.Load(),
-			TenantRejected:  s.tenantRejected.Load(),
-			Batches:         s.batches.Load(),
-			BatchJobs:       s.batchJobs.Load(),
 			Ok:              s.ok.Load(),
 			CFIViolations:   s.cfi.Load(),
 			Faults:          s.faults.Load(),
@@ -1114,11 +828,8 @@ func (s *Server) MetricsSnapshot() Metrics {
 		Queue: QueueState{
 			Depth:          s.sched.Queued(),
 			Capacity:       s.cfg.QueueDepth,
-			Workers:        s.Workers(),
+			Workers:        s.cfg.Workers,
 			Busy:           int(s.busy.Load()),
-			P50Ms:          ms(qs[0]),
-			P95Ms:          ms(qs[1]),
-			P99Ms:          ms(qs[2]),
 			RetryAfterSecs: s.retryAfterSecs(),
 		},
 		Tenants:    s.sched.Stats(),
@@ -1137,15 +848,14 @@ func (s *Server) MetricsSnapshot() Metrics {
 			JITColdSteps:   s.jitColdSteps.Load(),
 		},
 	}
-	am := AutoscaleMetrics{Enabled: s.scaler != nil, Workers: m.Queue.Workers}
-	if s.scaler != nil {
-		am.AutoscaleStats = s.scaler.Stats()
-	} else {
-		am.Min, am.Max = s.cfg.WorkersMin, s.cfg.WorkersMax
-	}
-	m.Autoscale = &am
-	if s.ring != nil {
-		m.Cluster = s.clusterMetrics()
+	m.Queue.P50Ms, m.Queue.P95Ms, m.Queue.P99Ms = queuePercentiles(obs.SumHists(queue))
+	for i := range m.Tenants {
+		t := &m.Tenants[i]
+		for _, h := range queue {
+			if h.Label == t.Tenant {
+				t.QueueP50Ms, t.QueueP95Ms, t.QueueP99Ms = queuePercentiles(h.Hist)
+			}
+		}
 	}
 	ts := s.tracer.Stats()
 	m.Obs = ObsMetrics{
@@ -1169,13 +879,13 @@ func (s *Server) MetricsSnapshot() Metrics {
 // --- HTTP surface ---
 
 // Handler returns the service mux. The surface is versioned under
-// /v1/ — POST /v1/run, POST /v1/batch, GET /v1/healthz, GET
-// /v1/metrics, and the store protocol at /v1/store/{key} (GET/HEAD/PUT
-// of sealed blobs, backed by the disk tier).
+// /v1/ — POST /v1/run, GET /v1/healthz, GET /v1/metrics, GET
+// /v1/trace/{id}, GET /v1/audit, and the store protocol at
+// /v1/store/{key} (GET/HEAD/PUT of sealed blobs, backed by the disk
+// tier).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/run", s.handleRun)
-	mux.HandleFunc("/v1/batch", s.handleBatch)
 	mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	mux.HandleFunc("/v1/metrics", s.handleMetrics)
 	mux.HandleFunc("/v1/trace/", s.handleTrace)
@@ -1184,7 +894,7 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// storeHandler serves the replica-sharing protocol from the disk tier;
+// storeHandler serves the store-sharing protocol from the disk tier;
 // without one (no -store-dir) there is nothing persistent to share.
 // Writes are gated on the shared secret (see Config.StoreSecret):
 // without it the surface is read-only, so an open serve port cannot be
@@ -1203,7 +913,7 @@ func (s *Server) storeHandler() http.Handler {
 // when the queue should have drained.
 func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, ErrBusy), errors.Is(err, ErrTenantBusy):
+	case errors.Is(err, ErrBusy):
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs()))
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
 	case errors.Is(err, ErrDraining):
@@ -1228,24 +938,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 		return
 	}
-	routed := r.Header.Get(headerRouted) != ""
-	// Trace IDs are minted at ingress and ride the relay hop in
-	// X-Mcfi-Trace, so a proxied job keeps one identity end to end.
-	trace := r.Header.Get(headerTrace)
-	if !routed || trace == "" {
-		trace = obs.Mint()
-	}
-	if !routed && s.ring != nil {
-		if owner, ok := s.ownerOf(req); ok && owner != s.self {
-			if s.relay(w, r.Context(), owner, "/v1/run", body, trace) {
-				return
-			}
-		}
-	}
-	if routed {
-		s.proxiedIn.Add(1)
-	}
-	res, err := s.submitTraced(r.Context(), req, routed, trace)
+	res, err := s.Submit(r.Context(), req)
 	if err != nil {
 		s.writeSubmitError(w, err)
 		return
@@ -1254,12 +947,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // Health is the /v1/healthz body: enough for a load balancer or a
-// fleet dashboard to identify the replica without scraping /metrics.
+// dashboard to identify the server without scraping /metrics.
 type Health struct {
 	Status     string  `json:"status"` // "ok" or "draining"
 	Version    string  `json:"version"`
-	Replica    string  `json:"replica,omitempty"` // Config.Self in cluster mode
-	Engine     string  `json:"engine"`            // default execution engine
+	Engine     string  `json:"engine"` // default execution engine
 	Draining   bool    `json:"draining"`
 	UptimeSecs float64 `json:"uptime_secs"`
 	Workers    int     `json:"workers"`
@@ -1269,11 +961,10 @@ func (s *Server) health() Health {
 	h := Health{
 		Status:     "ok",
 		Version:    Version,
-		Replica:    s.self,
 		Engine:     vm.EngineBlockJIT.String(),
 		Draining:   s.Draining(),
 		UptimeSecs: time.Since(s.start).Seconds(),
-		Workers:    s.Workers(),
+		Workers:    s.cfg.Workers,
 	}
 	if h.Draining {
 		h.Status = "draining"

@@ -1,12 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -48,6 +54,24 @@ func newTest(t *testing.T, cfg Config) *Server {
 		t.Fatal(err)
 	}
 	return s
+}
+
+func postRun(t *testing.T, url string, jr JobRequest) (*JobResult, *http.Response) {
+	t.Helper()
+	body, _ := json.Marshal(jr)
+	resp, err := http.Post(url+"/v1/run", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, resp
+	}
+	var res JobResult
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+		t.Fatal(err)
+	}
+	return &res, resp
 }
 
 func drain(t *testing.T, s *Server) {
@@ -448,5 +472,190 @@ func TestLoadJobMix(t *testing.T) {
 		Client: ts.Client(),
 	}); err == nil {
 		t.Error("bogus job kind accepted by RunLoad")
+	}
+}
+
+// TestRetryAfterHeader: 429s carry a positive integer Retry-After
+// derived from the drain rate.
+func TestRetryAfterHeader(t *testing.T) {
+	s := newTest(t, Config{Workers: 1, QueueDepth: 1, DefaultTimeout: 5 * time.Second})
+	defer drain(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// Occupy the worker and fill the queue.
+	started := make(chan struct{}, 2)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			started <- struct{}{}
+			s.Submit(context.Background(), JobRequest{Source: spinSrc, Name: "spin", TimeoutMs: 1500})
+		}()
+	}
+	<-started
+	<-started
+	deadline := time.Now().Add(5 * time.Second)
+	for s.MetricsSnapshot().Queue.Busy == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	for s.MetricsSnapshot().Queue.Depth == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	res, resp := postRun(t, ts.URL, JobRequest{Source: helloSrc, Name: "h"})
+	if res != nil {
+		t.Fatalf("expected 429, got result %+v", res)
+	}
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status %s, want 429", resp.Status)
+	}
+	ra := resp.Header.Get("Retry-After")
+	secs, err := strconv.Atoi(ra)
+	if err != nil || secs < 1 || secs > 30 {
+		t.Errorf("Retry-After %q, want integer in [1,30]", ra)
+	}
+	wg.Wait()
+}
+
+// TestQueuePercentilesExported: /metrics exposes p50/p95/p99 queue
+// latency, read from the queue-wait histogram.
+func TestQueuePercentilesExported(t *testing.T) {
+	s := newTest(t, Config{Workers: 1, QueueDepth: 16})
+	defer drain(t, s)
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.Submit(context.Background(), JobRequest{Source: helloSrc, Name: "h"})
+		}()
+	}
+	wg.Wait()
+
+	q := s.MetricsSnapshot().Queue
+	if q.P50Ms > q.P95Ms || q.P95Ms > q.P99Ms {
+		t.Errorf("percentiles not monotone: p50=%.3f p95=%.3f p99=%.3f", q.P50Ms, q.P95Ms, q.P99Ms)
+	}
+	// 8 jobs through 1 worker: the slowest waiters queued behind real
+	// builds, so the upper tail must be nonzero.
+	if q.P99Ms <= 0 {
+		t.Errorf("p99 = %.3f after contended run, want > 0", q.P99Ms)
+	}
+	if q.RetryAfterSecs < 1 {
+		t.Errorf("retry_after_secs = %d, want >= 1", q.RetryAfterSecs)
+	}
+}
+
+// TestSubmitDrainRaceTenants: 64 concurrent submitters across 4
+// tenants race Drain;
+// no job is both refused and executed, and per-tenant counters
+// balance. Run under -race in CI.
+func TestSubmitDrainRaceTenants(t *testing.T) {
+	const submitters = 64
+	s := newTest(t, Config{
+		Workers:       4,
+		QueueDepth:    submitters,
+		TenantWeights: map[string]int{"t0": 4, "t1": 3, "t2": 2, "t3": 1},
+	})
+
+	var executed, refused, otherErr atomic.Int64
+	var wg sync.WaitGroup
+	for p := 0; p < submitters; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				res, err := s.Submit(context.Background(), JobRequest{
+					Source: helloSrc, Name: "h",
+					Tenant: fmt.Sprintf("t%d", (p+i)%4),
+				})
+				switch {
+				case err == nil:
+					if res.Status == "" {
+						t.Error("admitted job returned no result")
+					}
+					executed.Add(1)
+				case errors.Is(err, ErrDraining), errors.Is(err, ErrBusy):
+					refused.Add(1)
+				default:
+					otherErr.Add(1)
+					t.Errorf("submit: %v", err)
+				}
+			}
+		}(p)
+	}
+	time.Sleep(20 * time.Millisecond)
+	drain(t, s)
+	wg.Wait()
+
+	total := int64(submitters * 4)
+	if executed.Load()+refused.Load()+otherErr.Load() != total {
+		t.Errorf("executed %d + refused %d != %d", executed.Load(), refused.Load(), total)
+	}
+	m := s.MetricsSnapshot()
+	if m.Jobs.Accepted != executed.Load() {
+		t.Errorf("server accepted %d, clients saw %d results (refused-and-executed or lost job)",
+			m.Jobs.Accepted, executed.Load())
+	}
+	if m.Jobs.Completed != m.Jobs.Accepted {
+		t.Errorf("accepted %d != completed %d after drain", m.Jobs.Accepted, m.Jobs.Completed)
+	}
+	for _, ts := range m.Tenants {
+		if ts.Queued != 0 || ts.Running != 0 {
+			t.Errorf("tenant %s not drained: %+v", ts.Tenant, ts)
+		}
+		if ts.Submitted != ts.Dequeued || ts.Dequeued != ts.Completed {
+			t.Errorf("tenant %s counters unbalanced: %+v", ts.Tenant, ts)
+		}
+	}
+}
+
+// TestTraceIDsAreServerMinted: a trace holds only what this server
+// observed. No client can push spans into the ring (which would let
+// four posts evict a real job's trace from a 4-trace ring), and no
+// request header can choose a job's trace ID or mark it as relayed.
+func TestTraceIDsAreServerMinted(t *testing.T) {
+	s := newTest(t, Config{Workers: 1, QueueDepth: 4, TraceBuffer: 4})
+	defer drain(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spans := `[{"trace":"forged","name":"run","dur_ns":1}]`
+	resp, err := http.Post(ts.URL+"/v1/trace/forged", "application/json", strings.NewReader(spans))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /v1/trace/forged = %s, want 405", resp.Status)
+	}
+	if st := s.Tracer().Stats(); st.Sampled != 0 || st.Spans != 0 {
+		t.Errorf("span push recorded something: %+v", st)
+	}
+
+	body, _ := json.Marshal(JobRequest{Source: helloSrc, Name: "hello"})
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/run", bytes.NewReader(body))
+	req.Header.Set("X-Mcfi-Routed", "1")
+	req.Header.Set("X-Mcfi-Trace", "chosen")
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var raw map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
+		t.Fatal(err)
+	}
+	if raw["status"] != StatusOK {
+		t.Fatalf("job = %v", raw)
+	}
+	if id, _ := raw["trace_id"].(string); id == "" || id == "chosen" {
+		t.Errorf("trace_id = %q, want a freshly minted ID", id)
+	}
+	if _, ok := raw["proxied"]; ok {
+		t.Errorf("result carries a proxied key: %v", raw)
 	}
 }

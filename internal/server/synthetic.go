@@ -5,15 +5,15 @@ import (
 	"strings"
 )
 
-// SyntheticSource generates variant v of the load harness's synthetic
-// serving corpus: a deterministic MiniC program of funcs small
-// functions dispatched through a function-pointer table. Every
-// variant differs in its embedded constants, so each has a distinct
-// build fingerprint; the program itself runs in a few thousand guest
-// instructions. That shape — compile-heavy, run-light — makes a
-// corpus of these the instrument for measuring the build store and
-// fingerprint routing: throughput is set by whether a replica has the
-// variant's image cached, not by guest execution.
+// SyntheticSource generates variant v of a synthetic serving corpus
+// (perfbench's serve-mix draws on it): a deterministic MiniC program
+// of funcs small functions dispatched through a function-pointer
+// table. Every variant differs in its embedded constants, so each has
+// a distinct build fingerprint; the program itself runs in a few
+// thousand guest instructions. That shape — compile-heavy, run-light — makes a
+// corpus of these the instrument for measuring the build store:
+// throughput is set by whether the server has the variant's image
+// cached, not by guest execution.
 //
 // The default 256 functions yield roughly 1.8k lines per variant,
 // which costs a few tens of milliseconds to build cold and well under
