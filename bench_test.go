@@ -255,7 +255,7 @@ func BenchmarkVerifyLibc(b *testing.B) {
 // (paper §5.1 rejects the hash map for lookup cost) ---
 
 func BenchmarkAblationTaryArray(b *testing.B) {
-	tb := tables.New(1<<20, 8)
+	tb := tables.New(make([]uint32, (1<<20)/4+8), 1<<20, nil)
 	tb.Update(func(addr int) int {
 		if addr%16 == 0 {
 			return addr / 16 % 100
@@ -286,7 +286,7 @@ func BenchmarkAblationTaryHashMap(b *testing.B) {
 // sequential (paper §5.2 copyTaryTable) ---
 
 func benchPublish(b *testing.B, parallel bool) {
-	tb := tables.New(1<<22, 8) // 4 MiB of covered code -> 1M entries
+	tb := tables.New(make([]uint32, (1<<22)/4+8), 1<<22, nil) // 4 MiB of covered code -> 1M entries
 	ecn := func(addr int) int {
 		if addr%16 == 0 {
 			return addr / 16 % 1000

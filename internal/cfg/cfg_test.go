@@ -22,18 +22,18 @@ var (
 )
 
 func TestParseSig(t *testing.T) {
-	ps, ok := parseSig(sigII)
+	ps, ok := parseSig(sigII, nil)
 	if !ok || len(ps.params) != 1 || ps.variadic || ps.result != "i" {
 		t.Errorf("parseSig(%q) = %+v, %v", sigII, ps, ok)
 	}
-	ps, ok = parseSig(sigIIv)
+	ps, ok = parseSig(sigIIv, nil)
 	if !ok || !ps.variadic || len(ps.params) != 1 {
 		t.Errorf("parseSig(%q) = %+v, %v", sigIIv, ps, ok)
 	}
 	// Nested function-pointer parameter.
 	fp := ctypes.PointerTo(ctypes.FuncOf(ctypes.IntType, []*ctypes.Type{ctypes.IntType}, false))
 	nested := sig(ctypes.IntType, []*ctypes.Type{fp, ctypes.IntType}, false)
-	ps, ok = parseSig(nested)
+	ps, ok = parseSig(nested, nil)
 	if !ok || len(ps.params) != 2 {
 		t.Errorf("parseSig(%q) = %+v, %v", nested, ps, ok)
 	}
@@ -41,14 +41,14 @@ func TestParseSig(t *testing.T) {
 	rec := &ctypes.Type{Kind: ctypes.Struct, Fields: []ctypes.Field{
 		{Name: "a", Type: ctypes.IntType}, {Name: "b", Type: fp}}}
 	withRec := sig(ctypes.VoidType, []*ctypes.Type{ctypes.PointerTo(rec), ctypes.LongType}, false)
-	ps, ok = parseSig(withRec)
+	ps, ok = parseSig(withRec, nil)
 	if !ok || len(ps.params) != 2 {
 		t.Errorf("parseSig(%q) = %+v, %v", withRec, ps, ok)
 	}
-	if _, ok := parseSig("i"); ok {
+	if _, ok := parseSig("i", nil); ok {
 		t.Error("non-function signature should not parse")
 	}
-	if _, ok := parseSig("f(i,"); ok {
+	if _, ok := parseSig("f(i,", nil); ok {
 		t.Error("unterminated signature should not parse")
 	}
 }

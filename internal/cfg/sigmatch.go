@@ -18,14 +18,14 @@ type parsedSig struct {
 	result   string
 }
 
-// parseSig decomposes a function signature; ok is false for strings
-// that are not function signatures.
-func parseSig(sig string) (parsedSig, bool) {
+// parseSig decomposes a function signature, appending its parameters
+// to params; ok is false for strings that are not function signatures.
+func parseSig(sig string, params []string) (parsedSig, bool) {
 	if !strings.HasPrefix(sig, "f(") {
 		return parsedSig{}, false
 	}
 	depth := 0
-	var ps parsedSig
+	ps := parsedSig{params: params}
 	start := 2
 	i := 2
 	for ; i < len(sig); i++ {
@@ -80,11 +80,14 @@ func SigCallMatch(fpSig, fnSig string) bool {
 	if fpSig == fnSig {
 		return true
 	}
-	fp, ok := parseSig(fpSig)
+	// SigCallMatch runs for every pair of indirect call and function,
+	// so the parameters go to buffers on the stack.
+	var fpParams, fnParams [8]string
+	fp, ok := parseSig(fpSig, fpParams[:0])
 	if !ok || !fp.variadic {
 		return false
 	}
-	fn, ok := parseSig(fnSig)
+	fn, ok := parseSig(fnSig, fnParams[:0])
 	if !ok {
 		return false
 	}

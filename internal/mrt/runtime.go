@@ -34,16 +34,12 @@ const (
 	stackBase   = stackTop - stackRegion
 	// StackSize is the per-thread stack size.
 	StackSize = 1 << 20
-	// defaultMaxBranches sizes the Bary table.
-	defaultMaxBranches = 1 << 15
 )
 
 // Options configures a runtime instance.
 type Options struct {
 	// Out receives guest writes (default: an internal buffer).
 	Out io.Writer
-	// MaxBranches caps the Bary table (default 32768).
-	MaxBranches int
 	// ParallelCopy publishes Tary updates with the parallel copier.
 	ParallelCopy bool
 	// Verify, if non-nil, is invoked on every dynamically loaded
@@ -119,9 +115,6 @@ type dlHandle struct {
 // New loads a linked image into a fresh sandbox and publishes the
 // initial control-flow policy.
 func New(img *linker.Image, opts Options) (*Runtime, error) {
-	if opts.MaxBranches == 0 {
-		opts.MaxBranches = defaultMaxBranches
-	}
 	r := &Runtime{
 		Proc:        vm.NewProcess(),
 		Img:         img,
@@ -168,11 +161,11 @@ func New(img *linker.Image, opts Options) (*Runtime, error) {
 	}
 
 	if img.Instrumented {
-		r.Tables = tables.New(visa.CodeBase+visa.CodeLimit, opts.MaxBranches)
-		// Update transactions rebuild only the loaded code extent
+		// The tables live in the sandbox's table region, past the guard
+		// band. Update transactions rebuild only the loaded code extent
 		// (the paper's Tary is sized to the code region).
+		r.Tables = p.MapTables()
 		r.Tables.SetCovered(int(r.codeEnd))
-		p.Tables = r.Tables
 		// Every completed update transaction invalidates the fused
 		// engine's check-verdict cache: a verdict is only reusable
 		// within one published CFG. Full-range transactions (lo == 0)
@@ -188,9 +181,14 @@ func New(img *linker.Image, opts Options) (*Runtime, error) {
 		})
 		r.assignBranchIndexes(img.Aux.IBs)
 		r.registerFusedSites(img.Aux.IBs)
-		if err := r.publishCFG(nil); err != nil {
+		// No thread exists yet and the region is zero, so the first
+		// policy needs no transaction.
+		graph, err := r.generateCFG()
+		if err != nil {
 			return nil, err
 		}
+		r.Tables.Init(graph.TaryECN, r.baryECNs(graph))
+		r.published(graph)
 	}
 	return r, nil
 }
@@ -268,11 +266,9 @@ func (r *Runtime) assignBranchIndexes(ibs []module.IndirectBranch) {
 	}
 }
 
-// publishCFG regenerates the control-flow policy from the merged aux
-// info and publishes it with one update transaction. between runs in
-// the transaction's GOT-update slot.
-func (r *Runtime) publishCFG(between func()) error {
-	in := cfg.Input{
+// cfgInput is the generator's input for the merged aux info.
+func (r *Runtime) cfgInput() cfg.Input {
+	return cfg.Input{
 		Funcs:       r.aux.Funcs,
 		IBs:         r.aux.IBs,
 		RetSites:    r.aux.RetSites,
@@ -280,18 +276,54 @@ func (r *Runtime) publishCFG(between func()) error {
 		Annotations: r.aux.AsmAnnotations,
 		Profile:     r.Img.Profile,
 	}
-	graph := cfg.Generate(in)
+}
+
+// generateCFG regenerates the control-flow policy from the merged aux
+// info.
+func (r *Runtime) generateCFG() (*cfg.Graph, error) {
+	graph := cfg.Generate(r.cfgInput())
 	if graph.Classes >= 1<<14 {
-		return fmt.Errorf("mrt: %d equivalence classes exceed the 14-bit ECN space", graph.Classes)
+		return nil, fmt.Errorf("mrt: %d equivalence classes exceed the 14-bit ECN space", graph.Classes)
 	}
-	// Bary index -> branch offset (inverse of branchIndex).
-	byIndex := make([]int, r.nextBranch)
-	for i := range byIndex {
-		byIndex[i] = -1
+	return graph, nil
+}
+
+// baryECNs returns the ECN of each assigned Bary index under graph,
+// negative where the index holds no branch of it.
+func (r *Runtime) baryECNs(graph *cfg.Graph) []int {
+	ecns := make([]int, r.nextBranch)
+	for i := range ecns {
+		ecns[i] = -1
 	}
 	for off, idx := range r.branchIndex {
-		byIndex[idx] = off
+		if ecn, ok := graph.BranchECN[off]; ok {
+			ecns[idx] = ecn
+		}
 	}
+	return ecns
+}
+
+// published records that graph is the policy now in the tables and
+// memoizes its generation state, so the next dlopen can publish a
+// delta instead of repeating a full rebuild.
+func (r *Runtime) published(graph *cfg.Graph) {
+	r.fullPublishes++
+	if r.opts.ForceFullCFG {
+		r.incr = nil
+	} else {
+		r.incr = cfg.NewIncremental(r.cfgInput(), graph)
+	}
+}
+
+// publishCFG regenerates the control-flow policy from the merged aux
+// info and publishes it with one update transaction. between runs in
+// the transaction's GOT-update slot.
+func (r *Runtime) publishCFG(between func()) error {
+	graph, err := r.generateCFG()
+	if err != nil {
+		return err
+	}
+	bary := r.baryECNs(graph)
 	r.Tables.Update(
 		func(addr int) int {
 			if ecn, ok := graph.TaryECN[addr]; ok {
@@ -300,24 +332,14 @@ func (r *Runtime) publishCFG(between func()) error {
 			return -1
 		},
 		func(idx int) int {
-			if idx >= len(byIndex) || byIndex[idx] < 0 {
-				return -1
-			}
-			if ecn, ok := graph.BranchECN[byIndex[idx]]; ok {
-				return ecn
+			if idx < len(bary) {
+				return bary[idx]
 			}
 			return -1
 		},
 		tables.UpdateOpts{Parallel: r.opts.ParallelCopy, Between: between},
 	)
-	r.fullPublishes++
-	// Memoize the generation state so the next dlopen can publish a
-	// delta instead of repeating this full rebuild.
-	if r.opts.ForceFullCFG {
-		r.incr = nil
-	} else {
-		r.incr = cfg.NewIncremental(in, graph)
-	}
+	r.published(graph)
 	return nil
 }
 
@@ -375,14 +397,7 @@ func (r *Runtime) PublishStats() (delta, full int64) {
 func (r *Runtime) Graph() *cfg.Graph {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return cfg.Generate(cfg.Input{
-		Funcs:       r.aux.Funcs,
-		IBs:         r.aux.IBs,
-		RetSites:    r.aux.RetSites,
-		SetjmpConts: r.aux.SetjmpConts,
-		Annotations: r.aux.AsmAnnotations,
-		Profile:     r.Img.Profile,
-	})
+	return cfg.Generate(r.cfgInput())
 }
 
 // RegisterLibrary makes a compiled module available to guest dlopen

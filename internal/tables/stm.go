@@ -168,7 +168,7 @@ func (c *MutexChecker) Reversion() {
 // micro-benchmark and its tests.
 func NewCheckers(codeLimit, maxBranches int, init func(*Tables)) []Checker {
 	mk := func() *Tables {
-		t := New(codeLimit, maxBranches)
+		t := New(make([]uint32, (codeLimit+3)/4+maxBranches), codeLimit, nil)
 		init(t)
 		return t
 	}

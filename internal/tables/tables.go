@@ -2,20 +2,25 @@
 // (branch-ID) and Tary (target-ID) tables — and the transactions that
 // access them (paper §5).
 //
-// Both tables live in a dedicated table region outside the sandbox,
-// modelled as a []uint32 accessed only through sync/atomic (the VM's
-// TLOAD/TLOADI instructions route here, standing in for the paper's
-// %gs-relative loads). The Tary table is an array indexed by
-// code address / 4: every four-byte-aligned code address has an entry,
-// either a valid ID or all zeros. The Bary table is a dense array of
-// branch IDs; the loader patches each check sequence with its constant
-// Bary index (paper §5.1).
+// Both tables live in one table region outside the guest's reach: a
+// []uint32 the caller supplies, accessed only through sync/atomic (the
+// VM's TLOAD/TLOADI instructions route here, standing in for the
+// paper's %gs-relative loads). The runtime's region is part of the
+// guest sandbox's mapping, past the guard band, outside the Go heap
+// (package vm); tests and micro-benchmarks pass a slice they make. The
+// Tary table is an array indexed by code address / 4: every
+// four-byte-aligned code address has an entry, either a valid ID or
+// all zeros. The Bary table is a dense array of branch IDs; the loader
+// patches each check sequence with its constant Bary index (paper
+// §5.1).
 //
-// Update transactions (paper Fig. 3) serialize on an update lock,
-// increment the global version, rebuild the Tary table, publish it
-// entry-by-atomic-entry (the movnti parallel copy), execute a memory
-// barrier, and only then update the Bary table — so concurrent check
-// transactions observe either the old CFG or the new CFG, never a mix.
+// The first policy is published by Init, straight into the zero region
+// before any check can run. Later update transactions (paper Fig. 3)
+// serialize on an update lock, increment the global version, rebuild
+// the Tary table, publish it entry-by-atomic-entry (the movnti parallel
+// copy), execute a memory barrier, and only then update the Bary table
+// — so concurrent check transactions observe either the old CFG or the
+// new CFG, never a mix.
 //
 // Check transactions (paper Fig. 4) are implemented twice: natively in
 // the VM's instrumentation sequence, and here in Check for host-side
@@ -91,6 +96,8 @@ type Tables struct {
 	// construct fresh IDs into before publishing. One buffer suffices:
 	// updates are serialized by updMu.
 	scratch []uint32
+	// owner keeps the memory behind tary and bary valid (see New).
+	owner any
 }
 
 // BaryBase is the byte offset of the Bary table within the table
@@ -98,14 +105,23 @@ type Tables struct {
 // mirroring "the Tary table starts at %gs").
 func (t *Tables) BaryBase() int { return t.codeLimit }
 
-// New creates tables covering codeLimit bytes of code and maxBranches
-// indirect branches. codeLimit is rounded up to a multiple of 4.
-func New(codeLimit, maxBranches int) *Tables {
+// New lays tables out over words: the Tary table, one word per four
+// bytes of codeLimit (rounded up to a multiple of 4), then the Bary
+// table, one word per indirect branch, in the rest. words must be zero
+// and from now on be accessed only through the returned Tables. They
+// may lie outside the Go heap: owner, if not nil, is what keeps them
+// valid, and stays reachable as long as the Tables does.
+func New(words []uint32, codeLimit int, owner any) *Tables {
 	codeLimit = (codeLimit + 3) &^ 3
+	nt := codeLimit / 4
+	if len(words) < nt {
+		panic(fmt.Sprintf("tables: %d words cannot hold the Tary table of %d code bytes", len(words), codeLimit))
+	}
 	t := &Tables{
-		tary:      make([]uint32, codeLimit/4),
-		bary:      make([]uint32, maxBranches),
+		tary:      words[:nt:nt],
+		bary:      words[nt:],
 		codeLimit: codeLimit,
+		owner:     owner,
 	}
 	t.covered.Store(int64(codeLimit))
 	return t
@@ -338,6 +354,37 @@ func (t *Tables) transact(opts UpdateOpts, fillTary func(fresh []uint32, ver int
 	t.notifyUpdate(0, nw*4)
 }
 
+// Init publishes the first policy without an update transaction: no
+// check transaction can run yet and every word is still zero, so it
+// stores only the valid IDs — taryECN's targets inside the covered
+// extent, and baryECN[i] at Bary index i (negative: no branch). It
+// leaves the tables as an Update with the same ECNs would: the same
+// words, version, update counters, and hook calls. Init panics on
+// tables that have seen an update.
+func (t *Tables) Init(taryECN map[int]int, baryECN []int) {
+	t.updMu.Lock()
+	defer t.updMu.Unlock()
+	if t.updates.Load() != 0 {
+		panic("tables: Init after an update transaction")
+	}
+	ver := int(t.version+1) % id.MaxVersion
+	atomic.StoreUint32(&t.version, uint32(ver))
+	cov := int(t.covered.Load())
+	for addr, ecn := range taryECN {
+		if addr >= 0 && addr < cov && addr&3 == 0 && ecn >= 0 {
+			atomic.StoreUint32(&t.tary[addr/4], uint32(id.Encode(ecn, ver)))
+		}
+	}
+	for i, ecn := range baryECN[:min(len(baryECN), len(t.bary))] {
+		if ecn >= 0 {
+			atomic.StoreUint32(&t.bary[i], uint32(id.Encode(ecn, ver)))
+		}
+	}
+	t.updates.Add(1)
+	t.sinceQuiescence.Add(1)
+	t.notifyUpdate(0, cov)
+}
+
 // Update runs an update transaction (TxUpdate, paper Fig. 3): it
 // acquires the global update lock, increments the version, installs
 // new Tary IDs for every four-byte-aligned code address, issues the
@@ -559,18 +606,17 @@ func (t *Tables) Snapshot() (tary, bary []uint32) {
 
 // String summarizes table occupancy.
 func (t *Tables) String() string {
-	tary, bary := t.Snapshot()
-	nt, nb := 0, 0
-	for _, w := range tary {
-		if id.ID(w).Valid() {
-			nt++
-		}
-	}
-	for _, w := range bary {
-		if id.ID(w).Valid() {
-			nb++
-		}
-	}
 	return fmt.Sprintf("tables{code=%dB, tary=%d/%d, bary=%d/%d, ver=%d}",
-		t.codeLimit, nt, len(tary), nb, len(bary), t.Version())
+		t.codeLimit, countValid(t.tary), len(t.tary), countValid(t.bary), len(t.bary), t.Version())
+}
+
+// countValid counts the valid IDs in words, in place.
+func countValid(words []uint32) int {
+	n := 0
+	for i := range words {
+		if id.ID(atomic.LoadUint32(&words[i])).Valid() {
+			n++
+		}
+	}
+	return n
 }

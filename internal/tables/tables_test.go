@@ -1,12 +1,19 @@
 package tables
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"mcfi/internal/id"
 )
+
+// newTables returns tables over a heap slice with room for maxBranches
+// Bary entries.
+func newTables(codeLimit, maxBranches int) *Tables {
+	return New(make([]uint32, (codeLimit+3)/4+maxBranches), codeLimit, nil)
+}
 
 // setupTwoClasses installs a tiny CFG: target address 0 is in class 1
 // (reached by branch 0), target address 4 is in class 2 (reached by
@@ -34,7 +41,7 @@ func setupTwoClasses(t *Tables) {
 }
 
 func TestCheckBasic(t *testing.T) {
-	tb := New(64, 4)
+	tb := newTables(64, 4)
 	setupTwoClasses(tb)
 
 	if got := tb.Check(0, 0); got != Pass {
@@ -61,7 +68,7 @@ func TestCheckBasic(t *testing.T) {
 }
 
 func TestUpdateChangesPolicy(t *testing.T) {
-	tb := New(64, 4)
+	tb := newTables(64, 4)
 	setupTwoClasses(tb)
 	if tb.Check(0, 4) != Violation {
 		t.Fatal("precondition: 0->4 denied")
@@ -93,7 +100,7 @@ func TestUpdateChangesPolicy(t *testing.T) {
 }
 
 func TestReversionPreservesECNs(t *testing.T) {
-	tb := New(64, 4)
+	tb := newTables(64, 4)
 	setupTwoClasses(tb)
 	before := tb.TaryID(0).ECN()
 	tb.Reversion(UpdateOpts{})
@@ -110,7 +117,7 @@ func TestReversionPreservesECNs(t *testing.T) {
 }
 
 func TestLoad32Routing(t *testing.T) {
-	tb := New(64, 4)
+	tb := newTables(64, 4)
 	setupTwoClasses(tb)
 	// Tary entry for addr 4.
 	if got := id.ID(tb.Load32(4)); !got.Valid() || got.ECN() != 2 {
@@ -134,7 +141,7 @@ func TestLoad32Routing(t *testing.T) {
 }
 
 func TestMisalignedTaryLoadNeverValid(t *testing.T) {
-	tb := New(256, 1)
+	tb := newTables(256, 1)
 	// Fill every entry with a valid ID.
 	tb.Update(func(addr int) int { return (addr / 4) % 7 },
 		func(i int) int { return 0 }, UpdateOpts{})
@@ -154,7 +161,7 @@ func TestMisalignedTaryLoadNeverValid(t *testing.T) {
 // allowed edges never spuriously fail, forbidden edges never
 // spuriously pass.
 func TestConcurrentCheckUpdateInvariant(t *testing.T) {
-	tb := New(1024, 16)
+	tb := newTables(1024, 16)
 	taryECN := func(addr int) int {
 		if addr%8 == 0 {
 			return (addr / 8 % 8) + 1
@@ -228,7 +235,7 @@ func TestConcurrentCheckUpdateInvariant(t *testing.T) {
 }
 
 func TestParallelPublish(t *testing.T) {
-	tb := New(1<<17, 4) // large enough to trigger the parallel path
+	tb := newTables(1<<17, 4) // large enough to trigger the parallel path
 	tb.Update(func(addr int) int { return addr / 4 % 100 },
 		func(i int) int { return i }, UpdateOpts{Parallel: true})
 	// Spot-check several entries.
@@ -314,7 +321,7 @@ func TestSTMCheckersConcurrent(t *testing.T) {
 }
 
 func TestABARisk(t *testing.T) {
-	tb := New(16, 1)
+	tb := newTables(16, 1)
 	if tb.ABARisk() {
 		t.Error("fresh tables should not report ABA risk")
 	}
@@ -328,7 +335,7 @@ func TestABARisk(t *testing.T) {
 }
 
 func TestVersionWrapsAt14Bits(t *testing.T) {
-	tb := New(16, 1)
+	tb := newTables(16, 1)
 	tb.Update(func(int) int { return 1 }, func(int) int { return 1 }, UpdateOpts{})
 	for i := 0; i < id.MaxVersion+5; i++ {
 		tb.Reversion(UpdateOpts{})
@@ -343,7 +350,7 @@ func TestVersionWrapsAt14Bits(t *testing.T) {
 }
 
 func TestPropCheckTotal(t *testing.T) {
-	tb := New(256, 8)
+	tb := newTables(256, 8)
 	setupTwoClasses(tb)
 	f := func(branch int16, target int32) bool {
 		v := tb.Check(int(branch)%16, int(target)%512)
@@ -355,10 +362,66 @@ func TestPropCheckTotal(t *testing.T) {
 }
 
 func TestStringSummary(t *testing.T) {
-	tb := New(64, 4)
+	tb := newTables(64, 4)
 	setupTwoClasses(tb)
 	s := tb.String()
 	if s == "" {
 		t.Error("empty summary")
 	}
+}
+
+// TestInitMatchesUpdate: the first policy published by Init leaves
+// fresh tables exactly as a full Update with the same ECNs does — the
+// same words, version, counters and hook calls — including for targets
+// past the covered extent, misaligned targets, negative ECNs and more
+// branches than the Bary table holds.
+func TestInitMatchesUpdate(t *testing.T) {
+	const codeLimit, branches, covered = 1 << 12, 16, 3000
+	taryECN := map[int]int{0: 1, 8: 2, 12: -1, 13: 3, 2996: 4, 3000: 5, 4092: 6}
+	baryECN := make([]int, branches+4)
+	for i := range baryECN {
+		baryECN[i] = i%3 - 1
+	}
+	type hookCall struct{ lo, hi int }
+	mk := func() (*Tables, *[]hookCall) {
+		tb := newTables(codeLimit, branches)
+		tb.SetCovered(covered)
+		var calls []hookCall
+		tb.OnUpdateExtent(func(lo, hi int) { calls = append(calls, hookCall{lo, hi}) })
+		return tb, &calls
+	}
+	direct, directCalls := mk()
+	direct.Init(taryECN, baryECN)
+	txn, txnCalls := mk()
+	txn.Update(func(addr int) int {
+		if ecn, ok := taryECN[addr]; ok {
+			return ecn
+		}
+		return -1
+	}, func(i int) int { return baryECN[i] }, UpdateOpts{})
+
+	dt, db := direct.Snapshot()
+	tt, tbry := txn.Snapshot()
+	if !slices.Equal(dt, tt) || !slices.Equal(db, tbry) {
+		t.Errorf("Init published\n tary %x\n bary %x\nUpdate published\n tary %x\n bary %x", dt, db, tt, tbry)
+	}
+	if direct.Version() != txn.Version() || direct.Updates() != txn.Updates() ||
+		direct.UpdatesSinceQuiescence() != txn.UpdatesSinceQuiescence() {
+		t.Errorf("Init left version %d, updates %d, since quiescence %d; Update left %d, %d, %d",
+			direct.Version(), direct.Updates(), direct.UpdatesSinceQuiescence(),
+			txn.Version(), txn.Updates(), txn.UpdatesSinceQuiescence())
+	}
+	if !slices.Equal(*directCalls, *txnCalls) {
+		t.Errorf("Init ran hooks %v, Update ran %v", *directCalls, *txnCalls)
+	}
+	if direct.String() != txn.String() {
+		t.Errorf("Init: %s, Update: %s", direct, txn)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("Init on updated tables did not panic")
+		}
+	}()
+	txn.Init(taryECN, baryECN)
 }

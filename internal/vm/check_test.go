@@ -16,7 +16,7 @@ import (
 // configuration, both must reach the same verdict.
 func TestGuestCheckAgreesWithHostCheck(t *testing.T) {
 	const codeLimit = 1 << 16
-	tb := tables.New(codeLimit, 64)
+	tb := tables.New(make([]uint32, codeLimit/4+64), codeLimit, nil)
 	// Classes: addresses 0x1000+64k belong to class (k%8)+1; branches
 	// 0..7 carry classes 1..8.
 	tb.Update(func(addr int) int {
@@ -95,7 +95,7 @@ func TestGuestCheckAgreesWithHostCheck(t *testing.T) {
 // passing while a host goroutine re-versions the tables continuously.
 func TestGuestCheckRetriesThroughUpdate(t *testing.T) {
 	const codeLimit = 1 << 14
-	tb := tables.New(codeLimit, 8)
+	tb := tables.New(make([]uint32, codeLimit/4+8), codeLimit, nil)
 	tb.Update(func(addr int) int {
 		if addr == 0x1000 {
 			return 1

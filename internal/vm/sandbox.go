@@ -3,11 +3,14 @@
 // Guest sandboxes live outside the Go heap. A Process's Mem is an
 // anonymous private mapping, so loading a program costs the pages it
 // touches rather than a 64 MiB allocation the Go runtime must zero and
-// the GC must pace itself by. Sandboxes are recycled: when a Process
-// becomes unreachable, a cleanup clears what it could have written and
-// puts the mapping on a free list, where it keeps its resident pages
-// for the next Process. (The go1.24 constraint is for
-// runtime.AddCleanup and package weak.)
+// the GC must pace itself by. The same mapping holds the Process's MCFI
+// table region past the guard band, where the guest cannot address it:
+// the Tary table, one word per four bytes of code region, then the Bary
+// table (MapTables). Sandboxes are recycled: when a Process becomes
+// unreachable, a cleanup clears what it could have written, drops the
+// table region's pages, and puts the mapping on a free list, where it
+// keeps its guest pages resident for the next Process. (The go1.24
+// constraint is for runtime.AddCleanup and package weak.)
 
 package vm
 
@@ -18,14 +21,24 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
+	"unsafe"
 	"weak"
 
+	"mcfi/internal/tables"
 	"mcfi/internal/visa"
 )
 
 const (
+	// taryCodeLimit is the code extent the Tary table covers: every
+	// address below the top of the code region.
+	taryCodeLimit = visa.CodeBase + visa.CodeLimit
+	// baryEntries is the Bary table's capacity in indirect branches.
+	baryEntries = 1 << 15
+
 	sandboxBytes = visa.SandboxSize + visa.GuardSize
 	sandboxPages = sandboxBytes / PageSize
+	tableWords   = taryCodeLimit/4 + baryEntries
+	mappingBytes = sandboxBytes + 4*tableWords
 
 	// The pool sizes itself from what it holds, as the GC paces the
 	// heap: idle sandboxes never outnumber those in use, and held ones
@@ -38,13 +51,20 @@ const (
 	sandboxHeldMin = 16
 )
 
-// sandbox is one guest address space, mapped outside the Go heap.
+// sandbox is one guest address space and its table region, mapped
+// together outside the Go heap.
 type sandbox struct {
-	mem []byte
+	// mapping is the whole mapping: mem, then the table region, which
+	// tables views as words.
+	mapping []byte
+	mem     []byte
+	tables  []uint32
 	// dirty marks every page that can hold non-zero bytes (see
 	// markDirty). Protect runs from guest mprotect syscalls and from
 	// the host's dlopen at once, hence the atomics.
 	dirty [sandboxPages]atomic.Bool
+	// resident is scrub's scratch for the residency of a run of pages.
+	resident [sandboxPages]byte
 }
 
 // markDirty records that Protect made pages [first, last) accessible.
@@ -88,6 +108,18 @@ var sandboxes = sandboxPool{
 
 func init() { sandboxes.released.L = &sandboxes.mu }
 
+// MapTables lays p's MCFI tables out in its sandbox's table region and
+// makes them p.Tables. The region is zero until then and is reached
+// only through sync/atomic, by the tables. The tables keep p reachable,
+// so the region stays theirs while either is in use.
+func (p *Process) MapTables() *tables.Tables {
+	if p.Tables != nil {
+		panic("vm: MapTables on a Process that has tables")
+	}
+	p.Tables = tables.New(p.sandbox.tables, taryCodeLimit, p)
+	return p.Tables
+}
+
 // attachSandbox gives p a zeroed guest address space and arranges for
 // it to be released once p is unreachable.
 func (p *Process) attachSandbox() {
@@ -121,13 +153,17 @@ func acquireSandbox(p *Process) *sandbox {
 		sb = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
-		mem, err := syscall.Mmap(-1, 0, sandboxBytes,
+		m, err := syscall.Mmap(-1, 0, mappingBytes,
 			syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 		if err != nil {
 			// Out of address space: as fatal as the failed make it replaces.
-			panic(fmt.Sprintf("vm: mapping a %d-byte guest sandbox: %v", sandboxBytes, err))
+			panic(fmt.Sprintf("vm: mapping a %d-byte guest sandbox: %v", mappingBytes, err))
 		}
-		sb = &sandbox{mem: mem}
+		sb = &sandbox{
+			mapping: m,
+			mem:     m[:sandboxBytes:sandboxBytes],
+			tables:  unsafe.Slice((*uint32)(unsafe.Pointer(&m[sandboxBytes])), tableWords),
+		}
 	}
 	s.live[sb] = weak.Make(p)
 	return sb
@@ -146,23 +182,58 @@ func (s *sandboxPool) reachable() int {
 	return n
 }
 
-// releaseSandbox runs once a Process is unreachable: it zeroes every
-// page the Process could have dirtied, then puts the sandbox on the
-// free list, unmapping whatever the list no longer has room for.
-func releaseSandbox(sb *sandbox) {
+// scrub zeroes every page marked dirty and clears the marks. A marked
+// page that is not resident was never touched since its last drop (or
+// was swapped out), so dropping it zeroes it without reading it; a
+// resident one is compared first, since most marked pages were never
+// written and comparing leaves them unwritten. So the scrub costs the
+// pages the Process touched, not every page Protect opened.
+func (sb *sandbox) scrub() {
 	var zero [PageSize]byte
-	for pg := range sb.dirty {
-		if !sb.dirty[pg].Load() {
+	for first := 0; first < sandboxPages; first++ {
+		if !sb.dirty[first].Load() {
 			continue
 		}
-		sb.dirty[pg].Store(false)
-		// Most marked pages were never written; comparing first leaves
-		// them unwritten, so they cost no resident memory.
-		page := sb.mem[pg*PageSize : (pg+1)*PageSize]
-		if !bytes.Equal(page, zero[:]) {
-			clear(page)
+		last := first
+		for ; last < sandboxPages && sb.dirty[last].Load(); last++ {
+			sb.dirty[last].Store(false)
 		}
+		run := sb.mem[first*PageSize : last*PageSize]
+		resident := residentPages(run, sb.resident[:last-first])
+		for i := 0; i < len(resident); {
+			j := i + 1
+			for j < len(resident) && resident[j]&1 == resident[i]&1 {
+				j++
+			}
+			pages := run[i*PageSize : j*PageSize]
+			if resident[i]&1 == 0 {
+				zeroPages(pages)
+			} else {
+				for off := 0; off < len(pages); off += PageSize {
+					if page := pages[off : off+PageSize]; !bytes.Equal(page, zero[:]) {
+						clear(page)
+					}
+				}
+			}
+			i = j
+		}
+		first = last
 	}
+}
+
+// releaseSandbox runs once a Process is unreachable: it zeroes every
+// page the Process could have dirtied and the whole table region, then
+// puts the sandbox on the free list, unmapping whatever the list no
+// longer has room for.
+func releaseSandbox(sb *sandbox) {
+	// Every table word, not just the last covered extent: a runtime
+	// that dlopened past its image left Tary IDs above where the next
+	// runtime's extent ends, and as every runtime publishes its first
+	// policy at the same version, such a stale ID could pass the next
+	// runtime's checks. Dropping the pages costs what the tables
+	// wrote, and the next runtime faults in only the pages it uses.
+	zeroPages(sb.mapping[sandboxBytes:])
+	sb.scrub()
 	s := &sandboxes
 	s.mu.Lock()
 	delete(s.live, sb)
@@ -177,7 +248,7 @@ func releaseSandbox(sb *sandbox) {
 	s.released.Broadcast()
 	s.mu.Unlock()
 	for _, sb := range unmap {
-		if err := syscall.Munmap(sb.mem); err != nil {
+		if err := syscall.Munmap(sb.mapping); err != nil {
 			panic(fmt.Sprintf("vm: unmapping a guest sandbox: %v", err))
 		}
 	}

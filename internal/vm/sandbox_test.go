@@ -2,10 +2,12 @@ package vm_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
 
+	"mcfi/internal/id"
 	"mcfi/internal/linker"
 	"mcfi/internal/module"
 	"mcfi/internal/mrt"
@@ -75,10 +77,21 @@ func firstDirtyPage(mem []byte) int {
 	return -1
 }
 
+// leakRun is what a test needs of a finished leak guest once its
+// runtime is dropped.
+type leakRun struct {
+	// first is the first byte of the sandbox, to recognise the sandbox
+	// when it is handed out again.
+	first *byte
+	// tary and bary are the guest's final tables.
+	tary, bary []uint32
+	// libFill is the dlopened library function's address.
+	libFill int64
+}
+
 // runLeakGuest runs the leak guest to completion, checks that it dirtied
-// every page kind, and drops the runtime. It returns the first byte of
-// the sandbox, to recognise the sandbox when it is handed out again.
-func runLeakGuest(t *testing.T, img *linker.Image, lib *module.Object) *byte {
+// every page kind, and drops the runtime.
+func runLeakGuest(t *testing.T, img *linker.Image, lib *module.Object) leakRun {
 	t.Helper()
 	rt, err := mrt.New(img, mrt.Options{})
 	if err != nil {
@@ -108,7 +121,8 @@ func runLeakGuest(t *testing.T, img *linker.Image, lib *module.Object) *byte {
 			t.Fatalf("the guest left the page of its %s (%#x) zero; the test checks nothing there", c.what, c.addr)
 		}
 	}
-	return &rt.Proc.Mem[0]
+	tary, bary := rt.Tables.Snapshot()
+	return leakRun{first: &rt.Proc.Mem[0], tary: tary, bary: bary, libFill: libCode.Addr}
 }
 
 // TestRecycledSandboxIsZero: a sandbox handed to a new Process after
@@ -131,7 +145,7 @@ func TestRecycledSandboxIsZero(t *testing.T) {
 	for i := range hold {
 		hold[i] = vm.NewProcess()
 	}
-	first := runLeakGuest(t, img, lib)
+	first := runLeakGuest(t, img, lib).first
 	if free, _ := vm.SettleSandboxes(); free != 1 {
 		t.Fatalf("%d sandboxes free after releasing the guest's, want 1", free)
 	}
@@ -145,37 +159,118 @@ func TestRecycledSandboxIsZero(t *testing.T) {
 	runtime.KeepAlive(hold)
 }
 
+// TestRecycledTablesHoldNoStaleIDs: a runtime handed an earlier
+// runtime's sandbox must find none of its IDs in the table region. The
+// leak guest's dlopen grows its covered extent and its Bary table past
+// what a smaller image covers; there every word must read zero, and a
+// jump from the smaller image to the library's old entry must halt as
+// a CFI violation. Every table starts at the same version, so a stale
+// ID could otherwise pass for a live one.
+func TestRecycledTablesHoldNoStaleIDs(t *testing.T) {
+	b := toolchain.New(toolchain.WithInstrumentation())
+	img, err := b.Build(toolchain.Source{Name: "leak", Text: leakMainSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := b.Compile(toolchain.Source{Name: "leaklib", Text: leakLibSrc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	free, _ := vm.SettleSandboxes()
+	hold := make([]*vm.Process, free)
+	for i := range hold {
+		hold[i] = vm.NewProcess()
+	}
+	a := runLeakGuest(t, img, lib)
+	small, err := b.Build(toolchain.Source{Name: "stale", Text: fmt.Sprintf(
+		`int main(void) { long (*f)(long) = (long (*)(long))%d; return (int)f(1); }`, a.libFill)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(small.Code) >= len(img.Code) {
+		t.Fatalf("the second image (%d code bytes) is not smaller than the first (%d)", len(small.Code), len(img.Code))
+	}
+	covered := (visa.CodeBase + len(small.Code) + 3) / 4
+	branches := 0
+	for _, ib := range small.Aux.IBs {
+		if ib.TLoadIOffset >= 0 {
+			branches++
+		}
+	}
+	if !id.ID(a.tary[a.libFill/4]).Valid() || firstNonZero(a.tary[covered:]) < 0 || firstNonZero(a.bary[branches:]) < 0 {
+		t.Fatal("the first runtime left no IDs past the second's extent; the test checks nothing there")
+	}
+	if free, _ := vm.SettleSandboxes(); free != 1 {
+		t.Fatalf("%d sandboxes free after releasing the first runtime's, want 1", free)
+	}
+	rt, err := mrt.New(small, mrt.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &rt.Proc.Mem[0] != a.first {
+		t.Fatal("the first runtime's released sandbox was not handed out again")
+	}
+	tary, bary := rt.Tables.Snapshot()
+	if w := firstNonZero(tary[covered:]); w >= 0 {
+		t.Errorf("Tary word for %#x, past the covered extent, holds %#x", 4*(covered+w), tary[covered+w])
+	}
+	if i := firstNonZero(bary[branches:]); i >= 0 {
+		t.Errorf("Bary entry %d, past the last branch, holds %#x", branches+i, bary[branches+i])
+	}
+	_, err = rt.Run(1_000_000)
+	var f *vm.Fault
+	if !errors.As(err, &f) || f.Kind != vm.FaultCFI || f.Check != vm.CheckIndirect || f.Target != a.libFill {
+		t.Errorf("jump to the first runtime's library entry %#x: %v, want an indirect-check CFI fault", a.libFill, err)
+	}
+	runtime.KeepAlive(hold)
+}
+
+// firstNonZero returns the index of the first non-zero word, or -1.
+func firstNonZero(words []uint32) int {
+	for i, w := range words {
+		if w != 0 {
+			return i
+		}
+	}
+	return -1
+}
+
 // TestHeldSandboxesStayBounded creates ten times the floor's worth of
 // runtimes while a large live heap keeps the GC's own pacing from
 // collecting the dropped ones: with no Process kept reachable,
 // NewProcess's forced collections alone must keep the mapped but
-// unreleased sandboxes within the floor.
+// unreleased sandboxes within the floor. An instrumented runtime's ID
+// tables live in its sandbox, so they do not pace the GC either.
 func TestHeldSandboxesStayBounded(t *testing.T) {
-	img, err := toolchain.New(toolchain.WithInstrument(false)).Build(
-		toolchain.Source{Name: "tiny", Text: `int main(void) { return 7; }`})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ballast := make([]byte, 256<<20)
-	vm.SettleSandboxes()
-	forced := forcedGCs()
-	peak := 0
-	for range 10 * vm.SandboxHeldMin {
-		rt, err := mrt.New(img, mrt.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if code, err := rt.Run(1_000_000); err != nil || code != 7 {
-			t.Fatalf("code=%d err=%v", code, err)
-		}
-		peak = max(peak, vm.HeldSandboxes())
-	}
-	runtime.KeepAlive(ballast)
-	if peak > vm.SandboxHeldMin {
-		t.Errorf("%d sandboxes held at once, bound %d", peak, vm.SandboxHeldMin)
-	}
-	if forcedGCs() == forced {
-		t.Error("no collection was forced: the loop never reached the bound")
+	for _, instrument := range []bool{false, true} {
+		t.Run(fmt.Sprintf("instrument=%v", instrument), func(t *testing.T) {
+			img, err := toolchain.New(toolchain.WithInstrument(instrument)).Build(
+				toolchain.Source{Name: "tiny", Text: `int main(void) { return 7; }`})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ballast := make([]byte, 256<<20)
+			vm.SettleSandboxes()
+			forced := forcedGCs()
+			peak := 0
+			for range 10 * vm.SandboxHeldMin {
+				rt, err := mrt.New(img, mrt.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if code, err := rt.Run(1_000_000); err != nil || code != 7 {
+					t.Fatalf("code=%d err=%v", code, err)
+				}
+				peak = max(peak, vm.HeldSandboxes())
+			}
+			runtime.KeepAlive(ballast)
+			if peak > vm.SandboxHeldMin {
+				t.Errorf("%d sandboxes held at once, bound %d", peak, vm.SandboxHeldMin)
+			}
+			if forcedGCs() == forced {
+				t.Error("no collection was forced: the loop never reached the bound")
+			}
+		})
 	}
 }
 

@@ -54,7 +54,7 @@ func checkBlob(t *testing.T, tb *tables.Tables, branch int) ([]byte, rewrite.Che
 func fusedGrid(t *testing.T) *tables.Tables {
 	t.Helper()
 	const codeLimit = 1 << 16
-	tb := tables.New(codeLimit, 64)
+	tb := tables.New(make([]uint32, codeLimit/4+64), codeLimit, nil)
 	tb.Update(func(addr int) int {
 		if addr >= 0x1000 && addr < 0x1000+64*64 && (addr-0x1000)%64 == 0 {
 			return (addr-0x1000)/64%8 + 1
@@ -104,7 +104,7 @@ func outcomeOf(th *Thread, err error) runOutcome {
 // (ins.R1 == 0). Returns the process and the absolute check start.
 func spinProcess(t *testing.T, e Engine, between ...visa.Instr) (*Process, int64) {
 	t.Helper()
-	tb := tables.New(1<<14, 8)
+	tb := tables.New(make([]uint32, (1<<14)/4+8), 1<<14, nil)
 	tb.Update(func(addr int) int {
 		if addr == 0x1000 {
 			return 1
@@ -391,7 +391,7 @@ func TestFusedFallbackOnNonCanonicalSite(t *testing.T) {
 	}
 
 	run := func(e Engine) *Thread {
-		tb := tables.New(1<<14, 8)
+		tb := tables.New(make([]uint32, (1<<14)/4+8), 1<<14, nil)
 		p := NewProcess()
 		p.Tables = tb
 		useEngine(p, e)
@@ -599,7 +599,7 @@ func TestThreadedPLTVerdictCache(t *testing.T) {
 	const stub = int64(0x1000)
 	const gotPage = int64(0x4000)
 	mk := func() *tables.Tables {
-		tb := tables.New(1<<14, 8)
+		tb := tables.New(make([]uint32, (1<<14)/4+8), 1<<14, nil)
 		tb.Update(func(addr int) int {
 			if addr == int(stub) {
 				return 1

@@ -34,10 +34,12 @@
 // accessible, and the page after each such range (an access is checked
 // on its first byte, so a store may spill into the next page) — the
 // only ones the guest or the runtime can have written — and returns
-// the mapping to the list. A sandbox's lifetime is its Process's
-// reachability: there is nothing to close. Being outside the heap, Mem
-// is also outside the race detector's view: -race checks the tables,
-// caches and counters, not guest-memory accesses.
+// the mapping to the list. The same mapping holds the MCFI table
+// region past the guard band (MapTables), which the release drops
+// whole. A sandbox's lifetime is its Process's reachability: there is
+// nothing to close. Being outside the heap, Mem and the table region
+// are also outside the race detector's view: -race checks the caches,
+// epochs and counters, not guest-memory or table accesses.
 package vm
 
 import (
@@ -172,7 +174,8 @@ type Process struct {
 	// dynamic linker can flip page protections while threads run.
 	perms []uint32
 
-	// Tables is the MCFI table region (nil for baseline builds).
+	// Tables is the MCFI table region (nil for baseline builds); the
+	// runtime's lives in the sandbox mapping (MapTables).
 	Tables *tables.Tables
 
 	// Handler interposes on system calls.

@@ -220,7 +220,7 @@ func TestTloadAgainstTables(t *testing.T) {
 		{Op: visa.TLOAD, R1: visa.R9, R2: visa.R11},
 		{Op: visa.TLOADI, R1: visa.R10, Imm: 1 << 16}, // BaryBase of tables below
 	})
-	tb := tables.New(1<<16, 4)
+	tb := tables.New(make([]uint32, (1<<16)/4+4), 1<<16, nil)
 	tb.Update(func(addr int) int {
 		if addr == 8 {
 			return 3
