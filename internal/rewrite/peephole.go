@@ -1,8 +1,8 @@
-// Peephole metadata: the straight-line instruction shapes the block
-// compiler (internal/vm EngineBlockJIT) fuses into single steps.
-// Like IsMaskStorePair, the predicates live beside the emitters so
-// the fusion matchers can never drift from what the rewriter
-// produces — but they are keyed on byte shapes alone, so coincidental
+// Peephole metadata: the straight-line instruction shape the block
+// compiler (internal/vm EngineBlockJIT) fuses into a single step.
+// Like IsMaskStorePair, the predicate lives beside the emitters so
+// the fusion matcher can never drift from what the rewriter
+// produces — but it is keyed on byte shapes alone, so coincidental
 // guest-authored pairs fuse too, harmlessly: the fused step
 // reproduces both instructions' architectural effects exactly.
 package rewrite
@@ -24,26 +24,6 @@ func IsCmpJccPair(cmp, j visa.Instr) bool {
 	case visa.JE, visa.JNE, visa.JL, visa.JG, visa.JLE, visa.JGE,
 		visa.JB, visa.JA, visa.JBE, visa.JAE:
 		return true
-	}
-	return false
-}
-
-// IsLoadOpPair reports whether ld and op form the fusible load +
-// consume shape: a load immediately followed by a register-register
-// ALU instruction (or comparison) that reads the loaded register. The
-// consumer must be pure — divisions are excluded because they can
-// fault between the two halves.
-func IsLoadOpPair(ld, op visa.Instr) bool {
-	switch ld.Op {
-	case visa.LD8, visa.LD16, visa.LD32, visa.LD64,
-		visa.LD8U, visa.LD16U, visa.LD32U:
-	default:
-		return false
-	}
-	switch op.Op {
-	case visa.ADD, visa.SUB, visa.MUL, visa.AND, visa.OR, visa.XOR,
-		visa.SHL, visa.SHR, visa.SAR, visa.CMP, visa.CMPW, visa.MOV:
-		return op.R1 == ld.R1 || op.R2 == ld.R1
 	}
 	return false
 }

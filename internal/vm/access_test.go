@@ -17,6 +17,7 @@ const (
 	accLen     = visa.SandboxSize + visa.GuardSize // len(Mem)
 	accSent    = 0x5a5a5a5a5a5a5a5a                // destination register before the access
 	accValue   = -0x0123456789abcdf0               // value stores write
+	accSP      = accScratch + PageSize             // SP at thread start
 )
 
 // accessAddrs are the boundary addresses every access is run at: a
@@ -35,7 +36,7 @@ func accessAddrs() []int64 {
 // accessOp is one guest access: a load (ext sign- or zero-extends its
 // n bytes into the destination) or a store, optionally preceded by the
 // rewriter's sandbox mask (which blockjit's fill path fuses with the
-// store).
+// store), or a PUSH or POP, which access the word at SP.
 type accessOp struct {
 	op     visa.Op
 	n      int64
@@ -44,6 +45,8 @@ type accessOp struct {
 }
 
 func (a accessOp) load() bool { return a.ext != nil }
+
+func (a accessOp) stack() bool { return a.op == visa.PUSH || a.op == visa.POP }
 
 func (a accessOp) String() string {
 	if a.masked {
@@ -67,7 +70,9 @@ func accessOps() []accessOp {
 		st.masked = true
 		ops = append(ops, st)
 	}
-	return ops
+	return append(ops,
+		accessOp{op: visa.PUSH, n: 8},
+		accessOp{op: visa.POP, n: 8, ext: func(v uint64) int64 { return int64(v) }})
 }
 
 // accessProgram is one compiled boundary case: where it starts, where
@@ -82,7 +87,9 @@ type accessProgram struct {
 // at accScratch (so the block compiler has compiled the loop body by
 // the third) and a third at addr. The address is chosen without a
 // branch — R1 = scratch + (R5 == 1) * (addr - scratch), wrapping — so
-// the access stays inside one straight-line block.
+// the access stays inside one straight-line block. A PUSH or POP gets
+// SP from R1, so the word it accesses is at addr too: SP is addr+8
+// before a PUSH and addr before a POP.
 func emitAccess(a *visa.Asm, op accessOp, addr int64) accessProgram {
 	var pr accessProgram
 	pr.start = visa.CodeBase + int64(a.Pos())
@@ -103,6 +110,12 @@ func emitAccess(a *visa.Asm, op accessOp, addr int64) accessProgram {
 	emit(visa.Instr{Op: visa.MOVI, R1: visa.R0, Imm: accValue})
 	if op.masked {
 		emit(visa.Instr{Op: visa.ANDI, R1: visa.R1, Imm: visa.StoreMask})
+	}
+	if op.op == visa.PUSH {
+		emit(visa.Instr{Op: visa.ADDI, R1: visa.R1, Imm: 8})
+	}
+	if op.stack() {
+		emit(visa.Instr{Op: visa.MOV, R1: visa.SP, R2: visa.R1})
 	}
 	pr.opPC = visa.CodeBase + int64(a.Pos())
 	if op.load() {
@@ -150,6 +163,7 @@ type accessOutcome struct {
 	pc      int64
 	msg     string
 	dst     int64
+	sp      int64
 	instret int64
 	window  string
 }
@@ -172,10 +186,17 @@ func memWindow(p *Process, addr int64) string {
 // literal addr+n test, so an overflowing addr+n passes it and faults on
 // protection), protection is checked on the first byte's page only, a
 // faulting load zeroes its destination, and the access retires before
-// it faults.
+// it faults. PUSH decrements SP before its store and keeps the
+// decrement when the store faults; POP, unlike a load, changes neither
+// SP nor its destination when it faults, and adds 8 to SP when it
+// succeeds.
 func wantAccess(p *Process, op accessOp, addr int64, pr accessProgram) accessOutcome {
 	if op.masked {
 		addr &= visa.StoreMask
+	}
+	sp := int64(accSP)
+	if op.stack() {
+		sp = addr
 	}
 	prot := uint32(visa.ProtWrite)
 	if op.load() {
@@ -188,15 +209,18 @@ func wantAccess(p *Process, op accessOp, addr int64, pr accessProgram) accessOut
 	case p.Prot(addr)&prot == 0:
 		msg = fmt.Sprintf("access %#x lacks prot %d", addr, prot)
 	}
-	w := accessOutcome{dst: accSent, window: memWindow(p, addr)}
+	w := accessOutcome{dst: accSent, sp: sp, window: memWindow(p, addr)}
 	if msg != "" {
 		w.kind, w.pc, w.msg, w.instret = FaultMem, pr.opPC, msg, pr.before+1
-		if op.load() {
+		if op.load() && op.op != visa.POP {
 			w.dst = 0
 		}
 		return w
 	}
 	w.kind, w.pc, w.msg, w.instret = FaultCFI, pr.hltPC, "hlt", pr.total
+	if op.op == visa.POP {
+		w.sp += 8
+	}
 	if op.load() {
 		var v uint64
 		for i := int64(0); i < op.n; i++ {
@@ -214,11 +238,11 @@ func wantAccess(p *Process, op accessOp, addr int64, pr accessProgram) accessOut
 	return w
 }
 
-// TestGuestAccessBoundaries runs every load and store width at every
-// boundary address through Run under every engine and under blockjit
-// with compilation disabled (engineCold, the threaded handlers), and
-// requires each one's fault, destination register, instret and memory
-// to match the guest-access contract — so all agree with each other
+// TestGuestAccessBoundaries runs every load and store width, PUSH and
+// POP at every boundary address through Run under every engine and
+// under blockjit with compilation disabled (engineCold, the threaded
+// handlers), and requires each one's fault, destination register, SP,
+// instret and memory to match the guest-access contract — so all agree with each other
 // and with it. The access runs on a loop's third pass, after the block
 // compiler has compiled the loop, so blockjit's memory steps are the
 // ones exercised.
@@ -238,7 +262,7 @@ func TestGuestAccessBoundaries(t *testing.T) {
 			for i, addr := range addrs {
 				pr := progs[i]
 				want := wantAccess(p, op, addr, pr)
-				th := p.NewThread(pr.start, accScratch+PageSize)
+				th := p.NewThread(pr.start, accSP)
 				err := th.Run(1 << 16)
 				f, ok := err.(*Fault)
 				if !ok {
@@ -248,7 +272,7 @@ func TestGuestAccessBoundaries(t *testing.T) {
 				if op.masked {
 					eff &= visa.StoreMask
 				}
-				got := accessOutcome{f.Kind, f.PC, f.Msg, th.Reg[visa.R2], th.Instret, memWindow(p, eff)}
+				got := accessOutcome{f.Kind, f.PC, f.Msg, th.Reg[visa.R2], th.Reg[visa.SP], th.Instret, memWindow(p, eff)}
 				if got != want {
 					t.Errorf("%s %s at %#x:\n got %+v\nwant %+v", e, op, addr, got, want)
 				}

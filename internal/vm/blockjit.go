@@ -7,9 +7,13 @@
 // valid-bitmap test, watermark compare, PC/Instret stores for pure ops)
 // are paid once per block instead of once per instruction. Pure
 // register steps are bound as inline micro-ops (a jump-table dispatch
-// with operands and constants pre-extracted — no call at all); steps
-// that can fault or leave the VM keep a pre-bound func pointer to their
-// threaded handler so fault semantics live in exactly one place.
+// with operands and constants pre-extracted — no call at all), and so
+// is every guest memory access: loads, stores, PUSH, POP and the
+// rewriter's mask+store pair run the same inlined width-specific
+// accessors (vm.go) the handlers call. The remaining steps that can
+// fault or leave the VM (syscalls, divisions, table loads, calls and
+// returns, checks) keep a pre-bound func pointer to their threaded
+// handler.
 //
 // Profile guidance: every control transfer reports its target, a
 // potential block start, to a per-thread table of entry counters
@@ -47,13 +51,16 @@
 // re-validate at execution) or code bytes from before the change; a
 // condemned block is dropped and its start re-profiled.
 //
-// Accounting is bit-identical to the interpreter. Pure register
-// steps defer their Instret/PC updates into a pending count that the
-// next effectful step (or the block epilogue) credits before acting,
-// so a fault inside a block reports the exact interp-engine Instret
-// and fault PC. Near the instruction budget — within the block's
-// worst-case retire bound — the dispatcher falls back to single
-// stepping so ErrBudget lands on the precise instruction.
+// Accounting is bit-identical to the interpreter. Pure register steps
+// and memory steps defer their Instret/PC updates into a pending count
+// that the next handler or branch step (or the block epilogue) credits
+// before acting. A memory step records the count deferred before it
+// and its own PC, so when its access faults the cold path (stepFault)
+// credits that count plus the step itself and reports the fault at
+// the step's PC: the exact interp-engine Instret and fault PC. Near
+// the instruction budget — within the block's retire bound — the
+// dispatcher falls back to single stepping so ErrBudget lands on the
+// precise instruction.
 package vm
 
 import (
@@ -88,12 +95,12 @@ const (
 	kJcc                   // conditional branch: taken exits the block
 	kCmpRRJcc              // fused reg-reg compare + conditional branch
 	kCmpRIJcc              // fused reg-imm compare + conditional branch
-	kLoadOp                // fused load (via handler) + register ALU op
 
-	// Memory micro-ops: the handler bodies inlined (same t.load/t.store
-	// calls, same clobber-on-fault quirk), with the fault PC restored
-	// before the access. r1 = data register, r2 = base register,
-	// imm = displacement.
+	// Memory micro-ops: the same inlined accessors the handlers call,
+	// the same clobber-on-fault quirk, and Instret/PC deferred like a
+	// pure step's; only a fault (stepFault) credits them. r1 = data
+	// register, r2 = base register, imm = displacement; kPush and kPop
+	// use r1 only.
 	kLd8
 	kLd8U
 	kLd16
@@ -105,6 +112,8 @@ const (
 	kSt16
 	kSt32
 	kSt64
+	kPush
+	kPop
 
 	// Pure register/flag micro-ops: cannot fault, Instret/PC deferred.
 	kMovI
@@ -149,17 +158,17 @@ const (
 // keep it in the block's calls array. Field use by kind:
 //
 //	pures:     r1, r2, imm as in the source instruction (cc for kSet)
+//	memory:    r1, r2, imm as above; pc = the access's own PC,
+//	           pending = retires deferred before it (credited on fault)
 //	kJcc:      cc; pc = fall-through, next = taken, pending = retire
 //	kCmp*Jcc:  compare in r1/r2/imm, branch as kJcc
 //	kJmp:      imm = target, pending = retire
 //	kCall:     pc = call site, next = return address, imm = target
 //	kEnd:      pc = fall-through PC, pending = retire
 //	kHandler:  calls[call] + pc/next per the stepFn contract
-//	kLoadOp:   load in calls[call] + pc/next, ALU micro-op in cc with
-//	           r1/r2, imm = PC after the pair
 //
 // pending fits 16 bits: it counts instructions the compiler walked
-// through inside one page since the last effectful step.
+// through inside one page since the last step that credits them.
 type blockStep struct {
 	kind    uint8
 	cc      uint8
@@ -189,9 +198,11 @@ type compiledBlock struct {
 	// calls holds its handler steps' calls.
 	steps []blockStep
 	calls []stepCall
-	// maxRetire is a conservative upper bound on instructions one
-	// dispatch can retire; the dispatcher single-steps instead when
-	// the remaining budget is smaller, keeping ErrBudget exact.
+	// maxRetire bounds the instructions one dispatch can retire: each
+	// instruction the compiler walked counts once, a handler step its
+	// maxRetireOf. It is exact for a block without a check. The
+	// dispatcher single-steps instead when the remaining budget is
+	// smaller, keeping ErrBudget exact.
 	maxRetire int64
 }
 
@@ -380,107 +391,85 @@ func (t *Thread) runBlock(b *compiledBlock) error {
 				return nil
 			}
 			t.PC = s.pc
-		case kLoadOp:
-			t.Instret += int64(s.pending)
-			t.PC = s.pc
-			c := &b.calls[s.call]
-			if err := c.h(t, &c.ins, s.pc, s.next); err != nil {
-				return err
-			}
-			t.Instret++
-			runPureALU(t, s.cc, s.r1, s.r2)
-			t.PC = s.imm
 		case kLd8:
-			t.Instret += int64(s.pending) + 1
-			t.PC = s.pc
-			v, err := t.load8(t.Reg[s.r2] + s.imm)
+			addr := t.Reg[s.r2] + s.imm
+			v, ok := t.load8(addr)
 			t.Reg[s.r1] = int64(int8(v))
-			if err != nil {
-				return err
+			if !ok {
+				return t.stepFault(s, addr, 1, visa.ProtRead)
 			}
-			t.PC = s.next
 		case kLd8U:
-			t.Instret += int64(s.pending) + 1
-			t.PC = s.pc
-			v, err := t.load8(t.Reg[s.r2] + s.imm)
+			addr := t.Reg[s.r2] + s.imm
+			v, ok := t.load8(addr)
 			t.Reg[s.r1] = int64(v)
-			if err != nil {
-				return err
+			if !ok {
+				return t.stepFault(s, addr, 1, visa.ProtRead)
 			}
-			t.PC = s.next
 		case kLd16:
-			t.Instret += int64(s.pending) + 1
-			t.PC = s.pc
-			v, err := t.load16(t.Reg[s.r2] + s.imm)
+			addr := t.Reg[s.r2] + s.imm
+			v, ok := t.load16(addr)
 			t.Reg[s.r1] = int64(int16(v))
-			if err != nil {
-				return err
+			if !ok {
+				return t.stepFault(s, addr, 2, visa.ProtRead)
 			}
-			t.PC = s.next
 		case kLd16U:
-			t.Instret += int64(s.pending) + 1
-			t.PC = s.pc
-			v, err := t.load16(t.Reg[s.r2] + s.imm)
+			addr := t.Reg[s.r2] + s.imm
+			v, ok := t.load16(addr)
 			t.Reg[s.r1] = int64(v)
-			if err != nil {
-				return err
+			if !ok {
+				return t.stepFault(s, addr, 2, visa.ProtRead)
 			}
-			t.PC = s.next
 		case kLd32:
-			t.Instret += int64(s.pending) + 1
-			t.PC = s.pc
-			v, err := t.load32(t.Reg[s.r2] + s.imm)
+			addr := t.Reg[s.r2] + s.imm
+			v, ok := t.load32(addr)
 			t.Reg[s.r1] = int64(int32(v))
-			if err != nil {
-				return err
+			if !ok {
+				return t.stepFault(s, addr, 4, visa.ProtRead)
 			}
-			t.PC = s.next
 		case kLd32U:
-			t.Instret += int64(s.pending) + 1
-			t.PC = s.pc
-			v, err := t.load32(t.Reg[s.r2] + s.imm)
+			addr := t.Reg[s.r2] + s.imm
+			v, ok := t.load32(addr)
 			t.Reg[s.r1] = int64(v)
-			if err != nil {
-				return err
+			if !ok {
+				return t.stepFault(s, addr, 4, visa.ProtRead)
 			}
-			t.PC = s.next
 		case kLd64:
-			t.Instret += int64(s.pending) + 1
-			t.PC = s.pc
-			v, err := t.load64(t.Reg[s.r2] + s.imm)
+			addr := t.Reg[s.r2] + s.imm
+			v, ok := t.load64(addr)
 			t.Reg[s.r1] = int64(v)
-			if err != nil {
-				return err
+			if !ok {
+				return t.stepFault(s, addr, 8, visa.ProtRead)
 			}
-			t.PC = s.next
 		case kSt8:
-			t.Instret += int64(s.pending) + 1
-			t.PC = s.pc
-			if err := t.store8(t.Reg[s.r2]+s.imm, uint8(t.Reg[s.r1])); err != nil {
-				return err
+			if addr := t.Reg[s.r2] + s.imm; !t.store8(addr, uint8(t.Reg[s.r1])) {
+				return t.stepFault(s, addr, 1, visa.ProtWrite)
 			}
-			t.PC = s.next
 		case kSt16:
-			t.Instret += int64(s.pending) + 1
-			t.PC = s.pc
-			if err := t.store16(t.Reg[s.r2]+s.imm, uint16(t.Reg[s.r1])); err != nil {
-				return err
+			if addr := t.Reg[s.r2] + s.imm; !t.store16(addr, uint16(t.Reg[s.r1])) {
+				return t.stepFault(s, addr, 2, visa.ProtWrite)
 			}
-			t.PC = s.next
 		case kSt32:
-			t.Instret += int64(s.pending) + 1
-			t.PC = s.pc
-			if err := t.store32(t.Reg[s.r2]+s.imm, uint32(t.Reg[s.r1])); err != nil {
-				return err
+			if addr := t.Reg[s.r2] + s.imm; !t.store32(addr, uint32(t.Reg[s.r1])) {
+				return t.stepFault(s, addr, 4, visa.ProtWrite)
 			}
-			t.PC = s.next
 		case kSt64:
-			t.Instret += int64(s.pending) + 1
-			t.PC = s.pc
-			if err := t.store64(t.Reg[s.r2]+s.imm, uint64(t.Reg[s.r1])); err != nil {
-				return err
+			if addr := t.Reg[s.r2] + s.imm; !t.store64(addr, uint64(t.Reg[s.r1])) {
+				return t.stepFault(s, addr, 8, visa.ProtWrite)
 			}
-			t.PC = s.next
+		case kPush:
+			v := t.Reg[s.r1]
+			t.Reg[visa.SP] -= 8
+			if sp := t.Reg[visa.SP]; !t.store64(sp, uint64(v)) {
+				return t.stepFault(s, sp, 8, visa.ProtWrite)
+			}
+		case kPop:
+			sp := t.Reg[visa.SP]
+			v, ok := t.load64(sp)
+			if !ok {
+				return t.stepFault(s, sp, 8, visa.ProtRead)
+			}
+			t.Reg[visa.SP] = sp + 8
+			t.Reg[s.r1] = int64(v)
 		case kMovI:
 			t.Reg[s.r1] = s.imm
 		case kMov:
@@ -577,40 +566,21 @@ func (t *Thread) runBlock(b *compiledBlock) error {
 	return nil
 }
 
-// runPureALU executes the register ALU half of a kLoadOp pair. The
-// admitted ops (rewrite.IsLoadOpPair) are all register-register.
-func runPureALU(t *Thread, kind, r1, r2 uint8) {
-	switch kind {
-	case kAdd:
-		t.Reg[r1] += t.Reg[r2]
-	case kSub:
-		t.Reg[r1] -= t.Reg[r2]
-	case kMul:
-		t.Reg[r1] *= t.Reg[r2]
-	case kAnd:
-		t.Reg[r1] &= t.Reg[r2]
-	case kOr:
-		t.Reg[r1] |= t.Reg[r2]
-	case kXor:
-		t.Reg[r1] ^= t.Reg[r2]
-	case kShl:
-		t.Reg[r1] <<= uint64(t.Reg[r2]) & 63
-	case kShr:
-		t.Reg[r1] = int64(uint64(t.Reg[r1]) >> (uint64(t.Reg[r2]) & 63))
-	case kSar:
-		t.Reg[r1] >>= uint64(t.Reg[r2]) & 63
-	case kCmp:
-		t.fa, t.fb, t.fFloat = t.Reg[r1], t.Reg[r2], false
-	case kCmpW:
-		t.fa, t.fb, t.fFloat = t.Reg[r1]&0xFFFF, t.Reg[r2]&0xFFFF, false
-	case kMov:
-		t.Reg[r1] = t.Reg[r2]
-	}
+// stepFault is a compiled memory step's cold path: the step and the
+// retires deferred before it are credited, PC lands on the step, and
+// memFault builds the fault there.
+//
+//go:noinline
+func (t *Thread) stepFault(s *blockStep, addr, n int64, prot uint32) error {
+	t.Instret += int64(s.pending) + 1
+	t.PC = s.pc
+	return t.memFault(addr, n, prot)
 }
 
-// memKind maps a plain load or store to its memory micro-op kind.
-// Fused pseudo-opcodes (trace mask store, check superinstructions)
-// never match: they keep their threaded handlers.
+// memKind maps a plain load or store, PUSH or POP to its memory
+// micro-op kind. The trace mask+store compiles to a pure step and
+// storeKind's store step; the check superinstructions keep their
+// threaded handlers.
 func memKind(op visa.Op) (uint8, bool) {
 	switch op {
 	case visa.LD8:
@@ -635,8 +605,26 @@ func memKind(op visa.Op) (uint8, bool) {
 		return kSt32, true
 	case visa.ST64:
 		return kSt64, true
+	case visa.PUSH:
+		return kPush, true
+	case visa.POP:
+		return kPop, true
 	}
 	return 0, false
+}
+
+// storeKind maps a store width in bytes, as a trace mask+store slot
+// records it, to its store micro-op kind.
+func storeKind(n uint8) uint8 {
+	switch n {
+	case 1:
+		return kSt8
+	case 2:
+		return kSt16
+	case 4:
+		return kSt32
+	}
+	return kSt64
 }
 
 // pureKind maps an instruction whose only architectural effect is on
@@ -922,8 +910,6 @@ func maxRetireOf(op visa.Op) int64 {
 		return 8*maxFusedRetries + 16
 	case opFusedCheckPLT:
 		return 11*maxFusedRetries + 16
-	case opTraceMaskStore:
-		return 2
 	}
 	return 1
 }
@@ -991,7 +977,7 @@ func (p *Process) compileBlock(c *pageCache, start int64) *compiledBlock {
 			}
 			// Backward or page-leaving jump: pre-bound target.
 			steps = append(steps, blockStep{kind: kJmp, imm: target, pending: int16(pending + 1)})
-			maxRetire += pending + 1
+			maxRetire++
 			pending = 0
 			done = true
 			break
@@ -1005,7 +991,7 @@ func (p *Process) compileBlock(c *pageCache, start int64) *compiledBlock {
 				kind: kJcc, cc: cc - 1,
 				pc: next, next: next + ins.Imm, pending: int16(pending + 1),
 			})
-			maxRetire += pending + 1
+			maxRetire++
 			pending = 0
 			pc = next
 			continue
@@ -1017,13 +1003,13 @@ func (p *Process) compileBlock(c *pageCache, start int64) *compiledBlock {
 					kind: kCall, pc: pc, next: next,
 					imm: next + ins.Imm, pending: int16(pending + 1),
 				})
-				maxRetire += pending + 1
+				maxRetire++
 			} else {
 				steps = append(steps, blockStep{
 					kind: kHandler, call: call(ins),
 					pc: pc, next: next, pending: int16(pending),
 				})
-				maxRetire += pending + maxRetireOf(ins.Op)
+				maxRetire += maxRetireOf(ins.Op)
 			}
 			pending = 0
 			done = true
@@ -1063,7 +1049,7 @@ func (p *Process) compileBlock(c *pageCache, start int64) *compiledBlock {
 					}
 				}
 				steps = append(steps, s)
-				maxRetire += pending + 2
+				maxRetire += 2
 				pending = 0
 				pc = fall
 				continue
@@ -1075,32 +1061,33 @@ func (p *Process) compileBlock(c *pageCache, start int64) *compiledBlock {
 			continue
 		}
 
-		// Peephole: load + register ALU op consuming the loaded value.
-		// The load delegates to its threaded handler (exact fault PC
-		// and the clobber-on-fault quirk); the ALU half runs inline.
-		if s2 := c.slotAt(next, pageEnd); s2 != nil && rewrite.IsLoadOpPair(ins, s2.ins) {
-			if aluKind, okp := pureKind(s2.ins.Op); okp {
-				o2, after := s2.ins, next+int64(s2.size)
-				steps = append(steps, blockStep{
-					kind: kLoadOp, cc: aluKind, r1: o2.R1, r2: o2.R2, call: call(ins),
-					pc: pc, next: next, imm: after, pending: int16(pending),
-				})
-				maxRetire += pending + 2
-				pending = 0
-				pc = after
-				continue
-			}
-		}
-
-		// Plain load/store: its handler body runs inline as a memory
-		// micro-op (same t.load/t.store path, exact fault semantics).
+		// Load, store, push or pop: a memory micro-op whose retire is
+		// deferred like a pure step's; it records its PC and the
+		// retires deferred before it for the fault path.
 		if kind, isMem := memKind(ins.Op); isMem {
 			steps = append(steps, blockStep{
 				kind: kind, r1: ins.R1, r2: ins.R2, imm: ins.Imm,
-				pc: pc, next: next, pending: int16(pending),
+				pc: pc, pending: int16(pending),
 			})
-			maxRetire += pending + 1
-			pending = 0
+			pending++
+			maxRetire++
+			pc = next
+			continue
+		}
+
+		if ins.Op == opTraceMaskStore {
+			// The fill path's fused sandbox mask + store: the andi as
+			// its pure micro-op, then the store's memory step at the
+			// store's own PC, so a fault reports the store with the
+			// mask retired.
+			steps = append(steps,
+				blockStep{kind: kAndI, r1: ins.R1, imm: visa.StoreMask},
+				blockStep{
+					kind: storeKind(ins.R3), r1: ins.R2, r2: ins.R1, imm: ins.Imm,
+					pc: next - storeInsSize, pending: int16(pending + 1),
+				})
+			pending += 2
+			maxRetire += 2
 			pc = next
 			continue
 		}
@@ -1111,7 +1098,7 @@ func (p *Process) compileBlock(c *pageCache, start int64) *compiledBlock {
 			kind: kHandler, call: call(ins),
 			pc: pc, next: next, pending: int16(pending),
 		})
-		maxRetire += pending + maxRetireOf(ins.Op)
+		maxRetire += maxRetireOf(ins.Op)
 		pending = 0
 		pc = next
 	}

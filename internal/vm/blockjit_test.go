@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"hash/fnv"
 	"testing"
 
 	"mcfi/internal/visa"
@@ -215,5 +216,198 @@ func TestBlockJITStaleCode(t *testing.T) {
 	p.Protect(visa.CodeBase, PageSize, visa.ProtRead|visa.ProtExec)
 	if got := runToHalt(t, p); got != 222 {
 		t.Fatalf("after rewrite: R0 = %d, want 222 (stale compiled block?)", got)
+	}
+}
+
+// Layout of the memory-step block: four RW data pages and a poison
+// address on a page no access may touch.
+const (
+	memData   = visa.DataBase
+	memStack  = memData + 2*PageSize // SP at every pass's start
+	memPoison = memData + 16*PageSize
+)
+
+// memStepBases names, in block order, the register each memory step
+// of emitMemorySteps takes its address from: poisoning it makes that
+// step fault. SP (the push) is poisoned through its own value, the pop
+// through R7, which the block moves into SP before it.
+var memStepBases = []byte{visa.R2, visa.R3, visa.SP, visa.R4, visa.R7, visa.R12, visa.R13}
+
+// emitMemorySteps assembles a loop whose body is one compiled block
+// mixing pure steps with every kind of memory step: a load and a store,
+// a load consumed by the ALU op after it, a PUSH, the rewriter's mask
+// + store pair, a POP, and narrow widths. R5 counts the passes. It
+// also returns the PC of the masked store.
+func emitMemorySteps() (code []byte, maskedStorePC int64) {
+	a := visa.NewAsm()
+	a.Label("body")
+	for _, ins := range []visa.Instr{
+		{Op: visa.ADDI, R1: visa.R0, Imm: 5},
+		{Op: visa.LD64, R1: visa.R1, R2: visa.R2},
+		{Op: visa.ADD, R1: visa.R0, R2: visa.R1},
+		{Op: visa.ST32, R1: visa.R0, R2: visa.R3, Imm: 8},
+		{Op: visa.PUSH, R1: visa.R0},
+		{Op: visa.XOR, R1: visa.R6, R2: visa.R0},
+		{Op: visa.ANDI, R1: visa.R4, Imm: visa.StoreMask},
+		{Op: visa.ST64, R1: visa.R1, R2: visa.R4},
+		{Op: visa.MOV, R1: visa.SP, R2: visa.R7},
+		{Op: visa.POP, R1: visa.R8},
+		{Op: visa.LD8U, R1: visa.R9, R2: visa.R12, Imm: 3},
+		{Op: visa.CMP, R1: visa.R9, R2: visa.R0},
+		{Op: visa.ST16, R1: visa.R9, R2: visa.R13},
+		{Op: visa.ADDI, R1: visa.R5, Imm: -1},
+		{Op: visa.CMPI, R1: visa.R5, Imm: 0},
+	} {
+		if ins.Op == visa.ST64 {
+			maskedStorePC = visa.CodeBase + int64(a.Pos())
+		}
+		a.Emit(ins)
+	}
+	a.EmitBranch(visa.JNE, "body")
+	a.Emit(visa.Instr{Op: visa.HLT})
+	if err := a.Finish(); err != nil {
+		panic(err)
+	}
+	return a.Code, maskedStorePC
+}
+
+// memStepsThread returns a thread at the block's start with valid
+// bases and passes passes to run.
+func memStepsThread(p *Process, passes int64) *Thread {
+	th := p.NewThread(visa.CodeBase, memStack)
+	th.Reg[visa.R2] = memData
+	th.Reg[visa.R3] = memData + 64
+	th.Reg[visa.R4] = memData + 128
+	th.Reg[visa.R7] = memStack - 8 // where the push wrote
+	th.Reg[visa.R12] = memData + 192
+	th.Reg[visa.R13] = memData + 256
+	th.Reg[visa.R5] = passes
+	return th
+}
+
+// TestBlockJITMemoryStepsDeferAccounting checks the deferred accounting
+// of compiled memory steps: a step that succeeds only adds to the
+// block's pending retires, and one that faults credits them plus
+// itself and reports its own PC. After warm-up threads have compiled
+// the block, it makes each memory step fault in turn (the block's
+// first dispatch faults) and, separately, puts the instruction budget
+// on every position of a three-pass run. Each time the fault kind and
+// PC, Instret, PC, every register (SP included) and the data pages
+// must equal the interpreter's.
+//
+// The one position skipped is a budget that ends between the mask and
+// its store: near the budget the run loop single-steps on the cold
+// path, whose fill-time mask+store superinstruction retires both at
+// once, one past the budget.
+func TestBlockJITMemoryStepsDeferAccounting(t *testing.T) {
+	code, maskedStorePC := emitMemorySteps()
+	newProc := func(e Engine) *Process {
+		p := NewProcess()
+		p.SetEngine(e)
+		p.SetJITThreshold(1)
+		copy(p.Mem[visa.CodeBase:], code)
+		p.Protect(visa.CodeBase, PageSize, visa.ProtRead|visa.ProtExec)
+		p.Protect(memData, 4*PageSize, visa.ProtRead|visa.ProtWrite)
+		for i := int64(0); i < 4*PageSize; i++ {
+			p.Mem[memData+i] = byte(i*0x3b + 7)
+		}
+		// The first run fills the page cache and compiles the block on
+		// the loop's backedge; the second runs it compiled.
+		for i := 0; i < 2; i++ {
+			if err := memStepsThread(p, 2).Run(1 << 16); !errors.As(err, new(*Fault)) {
+				t.Fatalf("%s warm-up: %v, want the hlt", e, err)
+			}
+		}
+		return p
+	}
+	type outcome struct {
+		kind        FaultKind
+		faultPC     int64
+		budget      bool
+		instret, pc int64
+		reg         [16]int64
+		data        uint64 // FNV-1a of the data pages
+	}
+	run := func(p *Process, th *Thread, budget int64) outcome {
+		err := th.Run(budget)
+		h := fnv.New64a()
+		h.Write(p.Mem[memData : memData+4*PageSize])
+		o := outcome{
+			budget: errors.Is(err, ErrBudget), instret: th.Instret, pc: th.PC,
+			reg: [16]int64(th.Reg[:16]), data: h.Sum64(),
+		}
+		if f, ok := err.(*Fault); ok {
+			o.kind, o.faultPC = f.Kind, f.PC
+		} else if !o.budget {
+			t.Fatalf("Run = %v, want a fault or ErrBudget", err)
+		}
+		return o
+	}
+
+	jit := newProc(EngineBlockJIT)
+	b := jit.compiledBlockAt(visa.CodeBase)
+	if b == nil {
+		t.Fatal("warm-up compiled no block at the loop head")
+	}
+	memSteps := 0
+	for _, s := range b.steps {
+		if s.kind == kHandler {
+			if op := b.calls[s.call].ins.Op; op != visa.HLT {
+				t.Errorf("block runs %s through its handler", op.Name())
+			}
+		}
+		if s.kind >= kLd8 && s.kind <= kPop {
+			memSteps++
+		}
+	}
+	if memSteps != len(memStepBases) {
+		t.Errorf("block has %d memory steps, want %d", memSteps, len(memStepBases))
+	}
+
+	ran := func(p *Process) int64 { return p.CheckStatsSnapshot().JITBlockRuns }
+	for k, base := range memStepBases {
+		poison := int64(memPoison)
+		if base == visa.SP {
+			poison += 8 // the push decrements first
+		}
+		ref, jit := newProc(EngineInterp), newProc(EngineBlockJIT)
+		want := func() outcome {
+			th := memStepsThread(ref, 3)
+			th.Reg[base] = poison
+			return run(ref, th, 1<<16)
+		}()
+		before := ran(jit)
+		th := memStepsThread(jit, 3)
+		th.Reg[base] = poison
+		got := run(jit, th, 1<<16)
+		if ran(jit) == before {
+			t.Fatalf("memory step %d: no compiled block ran", k)
+		}
+		if want.kind != FaultMem {
+			t.Fatalf("memory step %d: interp ended with %v, want a memory fault", k, want.kind)
+		}
+		if got != want {
+			t.Errorf("memory step %d faulting:\n got %+v\nwant %+v", k, got, want)
+		}
+	}
+
+	ref := newProc(EngineInterp)
+	full := run(ref, memStepsThread(ref, 3), 1<<16).instret
+	var blockRuns int64
+	for budget := int64(1); budget <= full+1; budget++ {
+		ref, jit := newProc(EngineInterp), newProc(EngineBlockJIT)
+		want := run(ref, memStepsThread(ref, 3), budget)
+		if want.budget && want.pc == maskedStorePC {
+			continue
+		}
+		before := ran(jit)
+		got := run(jit, memStepsThread(jit, 3), budget)
+		blockRuns += ran(jit) - before
+		if got != want {
+			t.Errorf("budget %d:\n got %+v\nwant %+v", budget, got, want)
+		}
+	}
+	if blockRuns == 0 {
+		t.Fatal("budget sweep: no compiled block ran")
 	}
 }

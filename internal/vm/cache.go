@@ -193,6 +193,13 @@ func (p *Process) cacheFill(pc int64) (*visa.Instr, int, error) {
 // block that could span the changed range. (Protect additionally
 // bumps the check epoch over the same extent, so cached verdicts
 // bound to the old bytes cannot be replayed either.)
+//
+// A page with no cache is skipped rather than stored nil into, so
+// opening a fresh process's data and stack pages writes nothing. Only
+// cacheFill's CompareAndSwap(nil, …) installs a page cache, so the skip
+// leaves the same race window as the store: a fill that decoded before
+// the change and installs its cache after this loop passed the page
+// does so in either case.
 func (p *Process) invalidate(first, last int64) {
 	if first > 0 {
 		first--
@@ -201,7 +208,9 @@ func (p *Process) invalidate(first, last int64) {
 		first = 0
 	}
 	for pg := first; pg < last && pg < int64(len(p.icache)); pg++ {
-		p.icache[pg].Store(nil)
+		if p.icache[pg].Load() != nil {
+			p.icache[pg].Store(nil)
+		}
 	}
 }
 

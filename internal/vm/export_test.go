@@ -27,3 +27,13 @@ func HeldSandboxes() int {
 	defer s.mu.Unlock()
 	return len(s.live)
 }
+
+// compiledBlockAt returns the block compiled at pc, or nil.
+func (p *Process) compiledBlockAt(pc int64) *compiledBlock {
+	if pg := uint64(pc) / PageSize; pg < uint64(len(p.icache)) {
+		if c := p.icache[pg].Load(); c != nil {
+			return c.block(int(pc & (PageSize - 1)))
+		}
+	}
+	return nil
+}

@@ -460,12 +460,12 @@ func (t *Thread) stepFusedPLT(pc int64, ins *visa.Instr) error {
 		// still retires.
 		t.Instret++
 		t.PC = pc + rewrite.PLTCheckLoadOffset
-		v, err := t.load64(gotAddr)
+		v, ok := t.load64(gotAddr)
 		// Like every load, the destination is clobbered with the
 		// (zero) loaded value even when the load faults.
 		r[visa.R11] = int64(v)
-		if err != nil {
-			return err
+		if !ok {
+			return t.memFault(gotAddr, 8, visa.ProtRead)
 		}
 		// and32 r11.
 		t.Instret++

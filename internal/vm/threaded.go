@@ -3,8 +3,8 @@
 // slot (cache.go) stores its operation's func pointer alongside the
 // predecoded visa.Instr, so executing one cold instruction is a single
 // indirect call; compiled blocks (blockjit.go) call the same handlers
-// for every step that can fault or leave the VM, so fault semantics
-// live in exactly one place.
+// for every step that can leave the VM or fault outside guest memory,
+// and run guest memory accesses as micro-ops over the same accessors.
 //
 // On top of pointer dispatch the fill path fuses two sequence shapes:
 //
@@ -99,70 +99,77 @@ func init() {
 	// error check, so a faulting load clobbers it with zero.
 	f(visa.LD8, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++
-		v, err := t.load8(t.Reg[ins.R2] + ins.Imm)
+		addr := t.Reg[ins.R2] + ins.Imm
+		v, ok := t.load8(addr)
 		t.Reg[ins.R1] = int64(int8(v))
-		if err != nil {
-			return err
+		if !ok {
+			return t.memFault(addr, 1, visa.ProtRead)
 		}
 		t.PC = next
 		return nil
 	})
 	f(visa.LD8U, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++
-		v, err := t.load8(t.Reg[ins.R2] + ins.Imm)
+		addr := t.Reg[ins.R2] + ins.Imm
+		v, ok := t.load8(addr)
 		t.Reg[ins.R1] = int64(v)
-		if err != nil {
-			return err
+		if !ok {
+			return t.memFault(addr, 1, visa.ProtRead)
 		}
 		t.PC = next
 		return nil
 	})
 	f(visa.LD16, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++
-		v, err := t.load16(t.Reg[ins.R2] + ins.Imm)
+		addr := t.Reg[ins.R2] + ins.Imm
+		v, ok := t.load16(addr)
 		t.Reg[ins.R1] = int64(int16(v))
-		if err != nil {
-			return err
+		if !ok {
+			return t.memFault(addr, 2, visa.ProtRead)
 		}
 		t.PC = next
 		return nil
 	})
 	f(visa.LD16U, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++
-		v, err := t.load16(t.Reg[ins.R2] + ins.Imm)
+		addr := t.Reg[ins.R2] + ins.Imm
+		v, ok := t.load16(addr)
 		t.Reg[ins.R1] = int64(v)
-		if err != nil {
-			return err
+		if !ok {
+			return t.memFault(addr, 2, visa.ProtRead)
 		}
 		t.PC = next
 		return nil
 	})
 	f(visa.LD32, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++
-		v, err := t.load32(t.Reg[ins.R2] + ins.Imm)
+		addr := t.Reg[ins.R2] + ins.Imm
+		v, ok := t.load32(addr)
 		t.Reg[ins.R1] = int64(int32(v))
-		if err != nil {
-			return err
+		if !ok {
+			return t.memFault(addr, 4, visa.ProtRead)
 		}
 		t.PC = next
 		return nil
 	})
 	f(visa.LD32U, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++
-		v, err := t.load32(t.Reg[ins.R2] + ins.Imm)
+		addr := t.Reg[ins.R2] + ins.Imm
+		v, ok := t.load32(addr)
 		t.Reg[ins.R1] = int64(v)
-		if err != nil {
-			return err
+		if !ok {
+			return t.memFault(addr, 4, visa.ProtRead)
 		}
 		t.PC = next
 		return nil
 	})
 	f(visa.LD64, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++
-		v, err := t.load64(t.Reg[ins.R2] + ins.Imm)
+		addr := t.Reg[ins.R2] + ins.Imm
+		v, ok := t.load64(addr)
 		t.Reg[ins.R1] = int64(v)
-		if err != nil {
-			return err
+		if !ok {
+			return t.memFault(addr, 8, visa.ProtRead)
 		}
 		t.PC = next
 		return nil
@@ -171,32 +178,32 @@ func init() {
 	// Stores.
 	f(visa.ST8, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++
-		if err := t.store8(t.Reg[ins.R2]+ins.Imm, uint8(t.Reg[ins.R1])); err != nil {
-			return err
+		if addr := t.Reg[ins.R2] + ins.Imm; !t.store8(addr, uint8(t.Reg[ins.R1])) {
+			return t.memFault(addr, 1, visa.ProtWrite)
 		}
 		t.PC = next
 		return nil
 	})
 	f(visa.ST16, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++
-		if err := t.store16(t.Reg[ins.R2]+ins.Imm, uint16(t.Reg[ins.R1])); err != nil {
-			return err
+		if addr := t.Reg[ins.R2] + ins.Imm; !t.store16(addr, uint16(t.Reg[ins.R1])) {
+			return t.memFault(addr, 2, visa.ProtWrite)
 		}
 		t.PC = next
 		return nil
 	})
 	f(visa.ST32, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++
-		if err := t.store32(t.Reg[ins.R2]+ins.Imm, uint32(t.Reg[ins.R1])); err != nil {
-			return err
+		if addr := t.Reg[ins.R2] + ins.Imm; !t.store32(addr, uint32(t.Reg[ins.R1])) {
+			return t.memFault(addr, 4, visa.ProtWrite)
 		}
 		t.PC = next
 		return nil
 	})
 	f(visa.ST64, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++
-		if err := t.store64(t.Reg[ins.R2]+ins.Imm, uint64(t.Reg[ins.R1])); err != nil {
-			return err
+		if addr := t.Reg[ins.R2] + ins.Imm; !t.store64(addr, uint64(t.Reg[ins.R1])) {
+			return t.memFault(addr, 8, visa.ProtWrite)
 		}
 		t.PC = next
 		return nil
@@ -548,14 +555,7 @@ func init() {
 	// setjmp/longjmp.
 	f(visa.SETJ, func(t *Thread, ins *visa.Instr, pc, next int64) error {
 		t.Instret++
-		env := t.Reg[ins.R1]
-		if err := t.store64(env, uint64(t.Reg[visa.SP])); err != nil {
-			return err
-		}
-		if err := t.store64(env+8, uint64(t.Reg[visa.FP])); err != nil {
-			return err
-		}
-		if err := t.store64(env+16, uint64(next)); err != nil {
+		if err := t.setjmp(t.Reg[ins.R1], next); err != nil {
 			return err
 		}
 		t.Reg[visa.R0] = 0
@@ -650,19 +650,19 @@ func (t *Thread) stepTraceMaskStore(ins *visa.Instr, next int64) error {
 	t.Instret++
 	t.PC = next - storeInsSize
 	addr, v := r[ins.R1]+ins.Imm, r[ins.R2]
-	var err error
+	var ok bool
 	switch ins.R3 {
 	case 1:
-		err = t.store8(addr, uint8(v))
+		ok = t.store8(addr, uint8(v))
 	case 2:
-		err = t.store16(addr, uint16(v))
+		ok = t.store16(addr, uint16(v))
 	case 4:
-		err = t.store32(addr, uint32(v))
+		ok = t.store32(addr, uint32(v))
 	default: // 8
-		err = t.store64(addr, uint64(v))
+		ok = t.store64(addr, uint64(v))
 	}
-	if err != nil {
-		return err
+	if !ok {
+		return t.memFault(addr, int64(ins.R3), visa.ProtWrite)
 	}
 	t.PC = next
 	return nil

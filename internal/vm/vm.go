@@ -25,8 +25,10 @@
 // direction (load8 … store64), with one contract: the range check
 // covers the whole access against len(Mem); protection is checked on
 // the first byte's page only, so an access may spill into the next
-// page; a faulting load zeroes its destination register; and the access
-// retires before it can fault.
+// page; a faulting load zeroes its destination register; the access
+// retires before it can fault; push keeps its SP decrement when its
+// store faults; and pop, unlike a load, changes neither SP nor its
+// destination when it faults.
 //
 // Guest memory lives outside the Go heap (sandbox.go). NewProcess takes
 // an anonymous mapping from a free list, or maps a fresh one; once the
@@ -505,84 +507,87 @@ func (t *Thread) classifyHalt() (CheckKind, int64) {
 }
 
 // Guest memory accessors, one per width (the contract is in the package
-// doc). Each has a single fast path: one unsigned compare that puts the
+// doc). Each is its single fast path: one unsigned compare that puts the
 // whole access inside Mem (it also rejects a negative addr), one atomic
 // load of the first byte's page protection, then a little-endian get
-// or put. Anything else is a fault, built by memFault.
+// or put. Each reports ok=false for anything else and leaves the fault
+// to its caller, which builds it with memFault; that keeps every
+// accessor within the inliner's budget, so a compiled block's memory
+// step and a threaded handler run it without a call.
 
-func (t *Thread) load8(addr int64) (uint8, error) {
+func (t *Thread) load8(addr int64) (uint8, bool) {
 	p := t.P
 	if uint64(addr) <= uint64(len(p.Mem)-1) && atomic.LoadUint32(&p.perms[uint64(addr)/PageSize])&visa.ProtRead != 0 {
-		return p.Mem[addr], nil
+		return p.Mem[addr], true
 	}
-	return 0, t.memFault(addr, 1, visa.ProtRead)
+	return 0, false
 }
 
-func (t *Thread) load16(addr int64) (uint16, error) {
+func (t *Thread) load16(addr int64) (uint16, bool) {
 	p := t.P
 	if uint64(addr) <= uint64(len(p.Mem)-2) && atomic.LoadUint32(&p.perms[uint64(addr)/PageSize])&visa.ProtRead != 0 {
-		return binary.LittleEndian.Uint16(p.Mem[addr:]), nil
+		return binary.LittleEndian.Uint16(p.Mem[addr:]), true
 	}
-	return 0, t.memFault(addr, 2, visa.ProtRead)
+	return 0, false
 }
 
-func (t *Thread) load32(addr int64) (uint32, error) {
+func (t *Thread) load32(addr int64) (uint32, bool) {
 	p := t.P
 	if uint64(addr) <= uint64(len(p.Mem)-4) && atomic.LoadUint32(&p.perms[uint64(addr)/PageSize])&visa.ProtRead != 0 {
-		return binary.LittleEndian.Uint32(p.Mem[addr:]), nil
+		return binary.LittleEndian.Uint32(p.Mem[addr:]), true
 	}
-	return 0, t.memFault(addr, 4, visa.ProtRead)
+	return 0, false
 }
 
-func (t *Thread) load64(addr int64) (uint64, error) {
+func (t *Thread) load64(addr int64) (uint64, bool) {
 	p := t.P
 	if uint64(addr) <= uint64(len(p.Mem)-8) && atomic.LoadUint32(&p.perms[uint64(addr)/PageSize])&visa.ProtRead != 0 {
-		return binary.LittleEndian.Uint64(p.Mem[addr:]), nil
+		return binary.LittleEndian.Uint64(p.Mem[addr:]), true
 	}
-	return 0, t.memFault(addr, 8, visa.ProtRead)
+	return 0, false
 }
 
-func (t *Thread) store8(addr int64, v uint8) error {
+func (t *Thread) store8(addr int64, v uint8) bool {
 	p := t.P
 	if uint64(addr) <= uint64(len(p.Mem)-1) && atomic.LoadUint32(&p.perms[uint64(addr)/PageSize])&visa.ProtWrite != 0 {
 		p.Mem[addr] = v
-		return nil
+		return true
 	}
-	return t.memFault(addr, 1, visa.ProtWrite)
+	return false
 }
 
-func (t *Thread) store16(addr int64, v uint16) error {
+func (t *Thread) store16(addr int64, v uint16) bool {
 	p := t.P
 	if uint64(addr) <= uint64(len(p.Mem)-2) && atomic.LoadUint32(&p.perms[uint64(addr)/PageSize])&visa.ProtWrite != 0 {
 		binary.LittleEndian.PutUint16(p.Mem[addr:], v)
-		return nil
+		return true
 	}
-	return t.memFault(addr, 2, visa.ProtWrite)
+	return false
 }
 
-func (t *Thread) store32(addr int64, v uint32) error {
+func (t *Thread) store32(addr int64, v uint32) bool {
 	p := t.P
 	if uint64(addr) <= uint64(len(p.Mem)-4) && atomic.LoadUint32(&p.perms[uint64(addr)/PageSize])&visa.ProtWrite != 0 {
 		binary.LittleEndian.PutUint32(p.Mem[addr:], v)
-		return nil
+		return true
 	}
-	return t.memFault(addr, 4, visa.ProtWrite)
+	return false
 }
 
-func (t *Thread) store64(addr int64, v uint64) error {
+func (t *Thread) store64(addr int64, v uint64) bool {
 	p := t.P
 	if uint64(addr) <= uint64(len(p.Mem)-8) && atomic.LoadUint32(&p.perms[uint64(addr)/PageSize])&visa.ProtWrite != 0 {
 		binary.LittleEndian.PutUint64(p.Mem[addr:], v)
-		return nil
+		return true
 	}
-	return t.memFault(addr, 8, visa.ProtWrite)
+	return false
 }
 
 // memFault is the accessors' cold path: the fault for an n-byte access
-// at addr that is out of range or whose first byte's page lacks prot.
-// Its range test is the literal addr+n form, so an access whose addr+n
-// overflows passes it and faults on protection instead (its page lies
-// past perms, so Prot reports none).
+// at addr that is out of range or whose first byte's page lacks prot,
+// reported at t.PC. Its range test is the literal addr+n form, so an
+// access whose addr+n overflows passes it and faults on protection
+// instead (its page lies past perms, so Prot reports none).
 //
 //go:noinline
 func (t *Thread) memFault(addr, n int64, prot uint32) error {
@@ -592,18 +597,38 @@ func (t *Thread) memFault(addr, n int64, prot uint32) error {
 	return t.fault(FaultMem, "access %#x lacks prot %d", addr, prot)
 }
 
+// push decrements SP and stores v there; a faulting store keeps the
+// decrement.
 func (t *Thread) push(v int64) error {
 	t.Reg[visa.SP] -= 8
-	return t.store64(t.Reg[visa.SP], uint64(v))
+	if sp := t.Reg[visa.SP]; !t.store64(sp, uint64(v)) {
+		return t.memFault(sp, 8, visa.ProtWrite)
+	}
+	return nil
 }
 
+// pop loads the word at SP and then increments SP; a faulting load
+// leaves SP unchanged.
 func (t *Thread) pop() (int64, error) {
-	v, err := t.load64(t.Reg[visa.SP])
-	if err != nil {
-		return 0, err
+	sp := t.Reg[visa.SP]
+	v, ok := t.load64(sp)
+	if !ok {
+		return 0, t.memFault(sp, 8, visa.ProtRead)
 	}
 	t.Reg[visa.SP] += 8
 	return int64(v), nil
+}
+
+// setjmp stores SETJ's environment at env: SP, FP, then resume, the
+// PC longjmp continues at. A faulting store leaves the later words
+// unwritten.
+func (t *Thread) setjmp(env, resume int64) error {
+	for i, v := range [...]int64{t.Reg[visa.SP], t.Reg[visa.FP], resume} {
+		if a := env + 8*int64(i); !t.store64(a, uint64(v)) {
+			return t.memFault(a, 8, visa.ProtWrite)
+		}
+	}
+	return nil
 }
 
 // cond evaluates a condition code against the flags.
@@ -748,62 +773,69 @@ func (t *Thread) Step() error {
 	// Loads write their destination before the error check, so a
 	// faulting load clobbers it with zero.
 	case visa.LD8:
-		v, err := t.load8(r[ins.R2] + ins.Imm)
+		addr := r[ins.R2] + ins.Imm
+		v, ok := t.load8(addr)
 		r[ins.R1] = int64(int8(v))
-		if err != nil {
-			return err
+		if !ok {
+			return t.memFault(addr, 1, visa.ProtRead)
 		}
 	case visa.LD8U:
-		v, err := t.load8(r[ins.R2] + ins.Imm)
+		addr := r[ins.R2] + ins.Imm
+		v, ok := t.load8(addr)
 		r[ins.R1] = int64(v)
-		if err != nil {
-			return err
+		if !ok {
+			return t.memFault(addr, 1, visa.ProtRead)
 		}
 	case visa.LD16:
-		v, err := t.load16(r[ins.R2] + ins.Imm)
+		addr := r[ins.R2] + ins.Imm
+		v, ok := t.load16(addr)
 		r[ins.R1] = int64(int16(v))
-		if err != nil {
-			return err
+		if !ok {
+			return t.memFault(addr, 2, visa.ProtRead)
 		}
 	case visa.LD16U:
-		v, err := t.load16(r[ins.R2] + ins.Imm)
+		addr := r[ins.R2] + ins.Imm
+		v, ok := t.load16(addr)
 		r[ins.R1] = int64(v)
-		if err != nil {
-			return err
+		if !ok {
+			return t.memFault(addr, 2, visa.ProtRead)
 		}
 	case visa.LD32:
-		v, err := t.load32(r[ins.R2] + ins.Imm)
+		addr := r[ins.R2] + ins.Imm
+		v, ok := t.load32(addr)
 		r[ins.R1] = int64(int32(v))
-		if err != nil {
-			return err
+		if !ok {
+			return t.memFault(addr, 4, visa.ProtRead)
 		}
 	case visa.LD32U:
-		v, err := t.load32(r[ins.R2] + ins.Imm)
+		addr := r[ins.R2] + ins.Imm
+		v, ok := t.load32(addr)
 		r[ins.R1] = int64(v)
-		if err != nil {
-			return err
+		if !ok {
+			return t.memFault(addr, 4, visa.ProtRead)
 		}
 	case visa.LD64:
-		v, err := t.load64(r[ins.R2] + ins.Imm)
+		addr := r[ins.R2] + ins.Imm
+		v, ok := t.load64(addr)
 		r[ins.R1] = int64(v)
-		if err != nil {
-			return err
+		if !ok {
+			return t.memFault(addr, 8, visa.ProtRead)
 		}
 	case visa.ST8:
-		if err := t.store8(r[ins.R2]+ins.Imm, uint8(r[ins.R1])); err != nil {
-			return err
+		if addr := r[ins.R2] + ins.Imm; !t.store8(addr, uint8(r[ins.R1])) {
+			return t.memFault(addr, 1, visa.ProtWrite)
 		}
 	case visa.ST16:
-		if err := t.store16(r[ins.R2]+ins.Imm, uint16(r[ins.R1])); err != nil {
-			return err
+		if addr := r[ins.R2] + ins.Imm; !t.store16(addr, uint16(r[ins.R1])) {
+			return t.memFault(addr, 2, visa.ProtWrite)
 		}
 	case visa.ST32:
-		if err := t.store32(r[ins.R2]+ins.Imm, uint32(r[ins.R1])); err != nil {
-			return err
+		if addr := r[ins.R2] + ins.Imm; !t.store32(addr, uint32(r[ins.R1])) {
+			return t.memFault(addr, 4, visa.ProtWrite)
 		}
 	case visa.ST64:
-		if err := t.store64(r[ins.R2]+ins.Imm, uint64(r[ins.R1])); err != nil {
-			return err
+		if addr := r[ins.R2] + ins.Imm; !t.store64(addr, uint64(r[ins.R1])) {
+			return t.memFault(addr, 8, visa.ProtWrite)
 		}
 	case visa.ADD:
 		r[ins.R1] += r[ins.R2]
@@ -959,14 +991,7 @@ func (t *Thread) Step() error {
 		}
 		r[ins.R1] = int64(t.P.Tables.Load32(ins.Imm))
 	case visa.SETJ:
-		env := r[ins.R1]
-		if err := t.store64(env, uint64(t.Reg[visa.SP])); err != nil {
-			return err
-		}
-		if err := t.store64(env+8, uint64(t.Reg[visa.FP])); err != nil {
-			return err
-		}
-		if err := t.store64(env+16, uint64(next)); err != nil {
+		if err := t.setjmp(r[ins.R1], next); err != nil {
 			return err
 		}
 		r[visa.R0] = 0
