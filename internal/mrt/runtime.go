@@ -166,17 +166,15 @@ func New(img *linker.Image, opts Options) (*Runtime, error) {
 		// (the paper's Tary is sized to the code region).
 		r.Tables = p.MapTables()
 		r.Tables.SetCovered(int(r.codeEnd))
-		// Every completed update transaction invalidates the fused
-		// engine's check-verdict cache: a verdict is only reusable
-		// within one published CFG. Full-range transactions (lo == 0)
-		// also condemn every compiled block; delta transactions start
-		// past address 0 (code begins at visa.CodeBase) and condemn
-		// only the blocks overlapping the changed extent.
+		// Full-range update transactions (lo == 0) condemn every
+		// compiled block; delta transactions start past address 0
+		// (code begins at visa.CodeBase) and condemn only the blocks
+		// overlapping the changed extent.
 		r.Tables.OnUpdateExtent(func(lo, hi int) {
 			if lo == 0 {
-				p.BumpCheckEpoch()
+				p.DiscardBlocks()
 			} else {
-				p.BumpCheckEpochExtent(int64(lo), int64(hi))
+				p.DiscardBlocksExtent(int64(lo), int64(hi))
 			}
 		})
 		r.assignBranchIndexes(img.Aux.IBs)

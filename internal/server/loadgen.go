@@ -563,9 +563,9 @@ func (r *LoadReport) Summary() string {
 		fmt.Fprintln(&b)
 	}
 	if m := r.ServerMetrics; m != nil {
-		fmt.Fprintf(&b, "  server: %d accepted, %d completed, %d CFI violations, %d timeouts, %d checks (%d verdict-cache hits)\n",
+		fmt.Fprintf(&b, "  server: %d accepted, %d completed, %d CFI violations, %d timeouts, %d checks\n",
 			m.Jobs.Accepted, m.Jobs.Completed, m.Jobs.CFIViolations,
-			m.Jobs.Timeouts, m.Exec.CheckExecs, m.Exec.VerdictHits)
+			m.Jobs.Timeouts, m.Exec.CheckExecs)
 	}
 	return b.String()
 }

@@ -179,8 +179,6 @@ func (s *Server) renderProm() []byte {
 	p.Counter("mcfi_exec_seconds_total", "wall seconds of guest execution", m.Exec.ExecSecs)
 	p.Counter("mcfi_check_execs_total", "fused check transactions executed", float64(m.Exec.CheckExecs))
 	p.Counter("mcfi_check_halts_total", "halted check transactions (CFI faults)", float64(m.Exec.CheckHalts))
-	p.Counter("mcfi_verdict_hits_total", "checks served from the verdict cache", float64(m.Exec.VerdictHits))
-	p.Counter("mcfi_verdict_misses_total", "checks that walked the tables", float64(m.Exec.VerdictMisses))
 	p.Counter("mcfi_icache_fills_total", "cold predecodes into the instruction cache", float64(m.Exec.ICacheFills))
 	p.Counter("mcfi_jit_blocks_compiled_total", "blockjit blocks compiled", float64(m.Exec.JITBlocks))
 	p.Counter("mcfi_jit_block_runs_total", "compiled-block dispatches", float64(m.Exec.JITBlockRuns))

@@ -281,14 +281,14 @@ type Server struct {
 	runHist   *obs.HistVec // by engine
 
 	// Metrics counters (lock-free).
-	accepted, completed, rejected          atomic.Int64
-	ok, cfi, faults, timeouts, cancelled   atomic.Int64
-	budget, buildErrs                      atomic.Int64
-	instret, execNanos                     atomic.Int64
-	checkExecs, checkHalts, vHits, vMisses atomic.Int64
-	icacheFills                            atomic.Int64
-	jitBlocks, jitCompileNanos             atomic.Int64
-	jitBlockRuns, jitColdSteps             atomic.Int64
+	accepted, completed, rejected        atomic.Int64
+	ok, cfi, faults, timeouts, cancelled atomic.Int64
+	budget, buildErrs                    atomic.Int64
+	instret, execNanos                   atomic.Int64
+	checkExecs, checkHalts               atomic.Int64
+	icacheFills                          atomic.Int64
+	jitBlocks, jitCompileNanos           atomic.Int64
+	jitBlockRuns, jitColdSteps           atomic.Int64
 }
 
 // New starts a server's worker pool, assembling the build store from
@@ -634,8 +634,6 @@ func (s *Server) runJob(j *job) JobResult {
 	st := rt.CheckStats()
 	s.checkExecs.Add(st.Execs)
 	s.checkHalts.Add(st.Halts)
-	s.vHits.Add(st.VerdictHits)
-	s.vMisses.Add(st.VerdictMisses)
 	s.icacheFills.Add(st.ICacheFills)
 	s.jitBlocks.Add(st.JITBlocks)
 	s.jitCompileNanos.Add(st.JITCompileNanos)
@@ -686,7 +684,6 @@ func (s *Server) runJob(j *job) JobResult {
 		"instret":        strconv.FormatInt(res.Instret, 10),
 		"check_execs":    strconv.FormatInt(st.Execs, 10),
 		"check_halts":    strconv.FormatInt(st.Halts, 10),
-		"verdict_hits":   strconv.FormatInt(st.VerdictHits, 10),
 		"icache_fills":   strconv.FormatInt(st.ICacheFills, 10),
 		"jit_blocks":     strconv.FormatInt(st.JITBlocks, 10),
 		"jit_block_runs": strconv.FormatInt(st.JITBlockRuns, 10),
@@ -787,14 +784,12 @@ type QueueState struct {
 
 // ExecMetrics aggregates guest execution across all completed jobs.
 type ExecMetrics struct {
-	GuestInstret  int64   `json:"guest_instret"`
-	ExecSecs      float64 `json:"exec_secs"`
-	MinstrPerSec  float64 `json:"minstr_per_sec"`
-	CheckExecs    int64   `json:"check_execs"`
-	CheckHalts    int64   `json:"check_halts"`
-	VerdictHits   int64   `json:"verdict_hits"`
-	VerdictMisses int64   `json:"verdict_misses"`
-	ICacheFills   int64   `json:"icache_fills"`
+	GuestInstret int64   `json:"guest_instret"`
+	ExecSecs     float64 `json:"exec_secs"`
+	MinstrPerSec float64 `json:"minstr_per_sec"`
+	CheckExecs   int64   `json:"check_execs"`
+	CheckHalts   int64   `json:"check_halts"`
+	ICacheFills  int64   `json:"icache_fills"`
 	// Block-compiler counters, aggregated across jobs that ran the
 	// blockjit engine (zero otherwise). JITHotRatio is the fraction of
 	// dispatches served by compiled blocks.
@@ -839,8 +834,6 @@ func (s *Server) MetricsSnapshot() Metrics {
 			ExecSecs:       execSecs,
 			CheckExecs:     s.checkExecs.Load(),
 			CheckHalts:     s.checkHalts.Load(),
-			VerdictHits:    s.vHits.Load(),
-			VerdictMisses:  s.vMisses.Load(),
 			ICacheFills:    s.icacheFills.Load(),
 			JITBlocks:      s.jitBlocks.Load(),
 			JITCompileSecs: float64(s.jitCompileNanos.Load()) / 1e9,

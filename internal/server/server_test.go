@@ -218,24 +218,32 @@ func TestQueueBackpressure(t *testing.T) {
 	s := newTest(t, Config{Workers: 1, QueueDepth: 1})
 	defer drain(t, s)
 
+	// Job A occupies the worker; job B fills the one queue slot. B is
+	// submitted only once A runs: until the worker parks in the
+	// scheduler, admission has no room for a second job.
 	var wg sync.WaitGroup
-	// Job A occupies the worker; job B fills the one queue slot.
-	for i := 0; i < 2; i++ {
+	errs := make([]error, 2)
+	submit := func(i int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.Submit(context.Background(),
+			_, errs[i] = s.Submit(context.Background(),
 				JobRequest{Source: spinSrc, Name: "spin", TimeoutMs: 1000})
 		}()
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		m := s.MetricsSnapshot()
-		if m.Queue.Busy == 1 && m.Queue.Depth == 1 {
-			break
+	waitFor := func(what string, cond func(Metrics) bool) {
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond(s.MetricsSnapshot()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %+v", what, s.MetricsSnapshot().Queue)
+			}
+			time.Sleep(5 * time.Millisecond)
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
+	submit(0)
+	waitFor("job A to run", func(m Metrics) bool { return m.Queue.Busy == 1 })
+	submit(1)
+	waitFor("job B to queue", func(m Metrics) bool { return m.Queue.Depth == 1 })
 	_, err := s.Submit(context.Background(), JobRequest{Source: helloSrc})
 	if !errors.Is(err, ErrBusy) {
 		t.Fatalf("overflow submit = %v, want ErrBusy", err)
@@ -244,6 +252,11 @@ func TestQueueBackpressure(t *testing.T) {
 		t.Errorf("rejected = %d, want 1", m.Jobs.Rejected)
 	}
 	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("background submit %d = %v, want nil", i, err)
+		}
+	}
 }
 
 // TestDrainFinishesQueuedJobs: Drain stops admission but completes
@@ -354,7 +367,7 @@ func TestLoadMixedWorkloads(t *testing.T) {
 	if m.Jobs.Completed != 36 || m.Jobs.Ok != 36 {
 		t.Errorf("server counts: %+v", m.Jobs)
 	}
-	if m.Exec.CheckExecs <= 0 || m.Exec.VerdictHits <= 0 {
+	if m.Exec.CheckExecs <= 0 {
 		t.Errorf("fused check counters not exported: %+v", m.Exec)
 	}
 

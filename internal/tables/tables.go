@@ -87,8 +87,8 @@ type Tables struct {
 	covered atomic.Int64
 	// hooks run at the end of every update transaction, while updMu is
 	// still held — after the new Bary IDs are published. Subscribers
-	// (the VM's fused-check verdict cache) use them to drop state bound
-	// to the previous CFG. Each hook receives the code-byte extent
+	// (the VM's block compiler) use them to drop state bound to the
+	// previous CFG. Each hook receives the code-byte extent
 	// [lo, hi) whose Tary entries the transaction may have changed;
 	// full transactions pass the whole covered range.
 	hooks []func(lo, hi int)

@@ -42,12 +42,49 @@ const maxFindings = 50
 
 type verifier struct {
 	obj        *module.Object
-	boundaries map[int]bool
-	instrs     map[int]visa.Instr // offset -> instruction
-	prev       map[int]int        // offset -> offset of previous instruction
+	code       []decoded // the disassembly, in offset order
 	ibAt       map[int]*module.IndirectBranch
 	relocSites map[int]bool // offsets of rel32 fields patched by the linker
 	findings   []error
+}
+
+// decoded is one disassembled instruction. The checks walk the
+// disassembly in offset order, so the findings, and which of them the
+// maxFindings cap keeps, are the same on every run.
+type decoded struct {
+	off int
+	ins visa.Instr
+	// afterGap marks the first instruction of the code and the first
+	// after a jump table: no pattern may span into it from before.
+	afterGap bool
+}
+
+// at returns the index of the instruction starting at off, or -1 when
+// off is not an instruction boundary.
+func (v *verifier) at(off int) int {
+	i, found := sort.Find(len(v.code), func(i int) int { return off - v.code[i].off })
+	if !found {
+		return -1
+	}
+	return i
+}
+
+// instrAt returns the instruction starting at off, if any.
+func (v *verifier) instrAt(off int) (visa.Instr, bool) {
+	if i := v.at(off); i >= 0 {
+		return v.code[i].ins, true
+	}
+	return visa.Instr{}, false
+}
+
+// prev returns the offset of the instruction that falls through into
+// the one at off, or -1 when off is no boundary or follows a gap.
+func (v *verifier) prev(off int) int {
+	i := v.at(off)
+	if i <= 0 || v.code[i].afterGap {
+		return -1
+	}
+	return v.code[i-1].off
 }
 
 // Verify checks one instrumented MCFI module.
@@ -57,9 +94,6 @@ func Verify(obj *module.Object) error {
 	}
 	v := &verifier{
 		obj:        obj,
-		boundaries: map[int]bool{},
-		instrs:     map[int]visa.Instr{},
-		prev:       map[int]int{},
 		ibAt:       map[int]*module.IndirectBranch{},
 		relocSites: map[int]bool{},
 	}
@@ -111,7 +145,7 @@ func (v *verifier) disassemble() {
 	skips := v.skipRanges()
 	si := 0
 	off := 0
-	prev := -1
+	gap := true
 	code := v.obj.Code
 	for off < len(code) {
 		for si < len(skips) && off >= skips[si][1] {
@@ -119,7 +153,7 @@ func (v *verifier) disassemble() {
 		}
 		if si < len(skips) && off >= skips[si][0] {
 			off = skips[si][1]
-			prev = -1 // no pattern may span a table
+			gap = true // no pattern may span a table
 			continue
 		}
 		ins, n, err := visa.Decode(code, off)
@@ -127,14 +161,8 @@ func (v *verifier) disassemble() {
 			v.errf(off, "disassembly failed: %v", err)
 			return
 		}
-		v.boundaries[off] = true
-		v.instrs[off] = ins
-		if prev >= 0 {
-			v.prev[off] = prev
-		} else {
-			v.prev[off] = -1
-		}
-		prev = off
+		v.code = append(v.code, decoded{off: off, ins: ins, afterGap: gap})
+		gap = false
 		off += n
 	}
 }
@@ -150,7 +178,7 @@ func (m *matcher) expect(pred func(visa.Instr) bool, what string) visa.Instr {
 	if !m.ok {
 		return visa.Instr{}
 	}
-	ins, found := m.v.instrs[m.off]
+	ins, found := m.v.instrAt(m.off)
 	if !found {
 		m.v.errf(m.off, "check transaction: expected %s at a non-boundary", what)
 		m.ok = false
@@ -173,7 +201,8 @@ func opIs(op visa.Op) func(visa.Instr) bool {
 // rejects stray indirect branches and raw rets.
 func (v *verifier) checkIndirectBranches() {
 	// Every decoded indirect branch must be an aux-declared site.
-	for off, ins := range v.instrs {
+	for _, d := range v.code {
+		off, ins := d.off, d.ins
 		switch ins.Op {
 		case visa.RET:
 			v.errf(off, "raw ret survived rewriting")
@@ -200,7 +229,7 @@ func (v *verifier) checkCheckedSite(ib module.IndirectBranch) {
 		v.errf(ib.Offset, "%s branch lacks a check transaction", ib.Kind)
 		return
 	}
-	tl, ok := v.instrs[ib.TLoadIOffset]
+	tl, ok := v.instrAt(ib.TLoadIOffset)
 	if !ok || tl.Op != visa.TLOADI || tl.R1 != visa.R10 {
 		v.errf(ib.TLoadIOffset, "%s: expected tloadi r10 at the Try point", ib.Kind)
 		return
@@ -211,60 +240,60 @@ func (v *verifier) checkCheckedSite(ib module.IndirectBranch) {
 	switch ib.Kind {
 	case module.IBRet:
 		// ... pop r11; and32 r11; Try: ...
-		and := v.prev[ib.TLoadIOffset]
+		and := v.prev(ib.TLoadIOffset)
 		if and < 0 {
 			v.errf(ib.TLoadIOffset, "ret check: missing and32 before Try")
 			return
 		}
-		if i := v.instrs[and]; i.Op != visa.AND32 || i.R1 != visa.R11 {
+		if i, _ := v.instrAt(and); i.Op != visa.AND32 || i.R1 != visa.R11 {
 			v.errf(and, "ret check: expected and32 r11, found %q", i.String())
 			return
 		}
-		pop := v.prev[and]
+		pop := v.prev(and)
 		if pop < 0 {
 			v.errf(and, "ret check: missing pop r11")
 			return
 		}
-		if i := v.instrs[pop]; i.Op != visa.POP || i.R1 != visa.R11 {
+		if i, _ := v.instrAt(pop); i.Op != visa.POP || i.R1 != visa.R11 {
 			v.errf(pop, "ret check: expected pop r11, found %q", i.String())
 			return
 		}
 	case module.IBPLT:
 		// Try: movi r11, got; ld64 r11, [r11+0]; and32 r11; ...
-		and := v.prev[ib.TLoadIOffset]
+		and := v.prev(ib.TLoadIOffset)
 		ld := -1
 		movi := -1
 		if and >= 0 {
-			ld = v.prev[and]
+			ld = v.prev(and)
 		}
 		if ld >= 0 {
-			movi = v.prev[ld]
+			movi = v.prev(ld)
 		}
 		if and < 0 || ld < 0 || movi < 0 {
 			v.errf(ib.TLoadIOffset, "plt check: truncated preamble")
 			return
 		}
-		if i := v.instrs[and]; i.Op != visa.AND32 || i.R1 != visa.R11 {
+		if i, _ := v.instrAt(and); i.Op != visa.AND32 || i.R1 != visa.R11 {
 			v.errf(and, "plt check: expected and32 r11")
 			return
 		}
-		if i := v.instrs[ld]; i.Op != visa.LD64 || i.R1 != visa.R11 || i.R2 != visa.R11 || i.Imm != 0 {
+		if i, _ := v.instrAt(ld); i.Op != visa.LD64 || i.R1 != visa.R11 || i.R2 != visa.R11 || i.Imm != 0 {
 			v.errf(ld, "plt check: expected ld64 r11, [r11+0]")
 			return
 		}
-		if i := v.instrs[movi]; i.Op != visa.MOVI || i.R1 != visa.R11 || int(i.Imm) != ib.GotSlot {
+		if i, _ := v.instrAt(movi); i.Op != visa.MOVI || i.R1 != visa.R11 || int(i.Imm) != ib.GotSlot {
 			v.errf(movi, "plt check: expected movi r11, <got slot %#x>", ib.GotSlot)
 			return
 		}
 		tryOff = movi // retry must reload the GOT entry (paper §5.2)
 	default:
 		// icall/tailjmp/longjmp: and32 r11; Try: ...
-		and := v.prev[ib.TLoadIOffset]
+		and := v.prev(ib.TLoadIOffset)
 		if and < 0 {
 			v.errf(ib.TLoadIOffset, "%s check: missing and32 before Try", ib.Kind)
 			return
 		}
-		if i := v.instrs[and]; i.Op != visa.AND32 || i.R1 != visa.R11 {
+		if i, _ := v.instrAt(and); i.Op != visa.AND32 || i.R1 != visa.R11 {
 			v.errf(and, "%s check: expected and32 r11, found %q", ib.Kind, i.String())
 			return
 		}
@@ -310,14 +339,14 @@ func (v *verifier) checkCheckedSite(ib module.IndirectBranch) {
 	// NOP padding then the branch itself.
 	off := okAt
 	for off < ib.Offset {
-		if i, ok := v.instrs[off]; ok && i.Op == visa.NOP {
+		if i, ok := v.instrAt(off); ok && i.Op == visa.NOP {
 			off += i.Size()
 			continue
 		}
 		v.errf(off, "unexpected instruction between check and branch")
 		return
 	}
-	br, ok := v.instrs[ib.Offset]
+	br, ok := v.instrAt(ib.Offset)
 	if !ok {
 		v.errf(ib.Offset, "branch is not at an instruction boundary")
 		return
@@ -348,7 +377,8 @@ func (v *verifier) checkStores() {
 	if v.obj.Profile == visa.Profile32 {
 		return
 	}
-	for off, ins := range v.instrs {
+	for i, d := range v.code {
+		off, ins := d.off, d.ins
 		if !ins.IsStore() {
 			continue
 		}
@@ -360,12 +390,11 @@ func (v *verifier) checkStores() {
 			v.errf(off, "store displacement %d exceeds the sandbox guard", ins.Imm)
 			continue
 		}
-		p := v.prev[off]
-		if p < 0 {
+		if i == 0 || d.afterGap {
 			v.errf(off, "unsandboxed store %q", ins.String())
 			continue
 		}
-		prev := v.instrs[p]
+		prev := v.code[i-1].ins
 		if prev.Op != visa.ANDI || prev.R1 != base || prev.Imm != visa.StoreMask {
 			v.errf(off, "store %q not preceded by its sandbox mask", ins.String())
 		}
@@ -376,7 +405,8 @@ func (v *verifier) checkStores() {
 // instruction boundaries (linker-patched sites are exempt at module
 // granularity).
 func (v *verifier) checkDirectBranches() {
-	for off, ins := range v.instrs {
+	for _, d := range v.code {
+		off, ins := d.off, d.ins
 		switch ins.Op {
 		case visa.JMP, visa.JE, visa.JNE, visa.JL, visa.JG, visa.JLE,
 			visa.JGE, visa.JB, visa.JA, visa.JBE, visa.JAE, visa.CALL:
@@ -384,7 +414,7 @@ func (v *verifier) checkDirectBranches() {
 				continue // target patched at link time
 			}
 			target := off + ins.Size() + int(ins.Imm)
-			if !v.boundaries[target] {
+			if v.at(target) < 0 {
 				v.errf(off, "direct branch %q targets a non-boundary %#x", ins.String(), target)
 			}
 		}
@@ -437,7 +467,7 @@ func (v *verifier) checkSwitches() {
 		for i := 0; i < n; i++ {
 			entry := int(binary.LittleEndian.Uint64(v.obj.Code[ib.TableOff+8*i:]))
 			target := fn.Offset + entry
-			if !v.boundaries[target] {
+			if v.at(target) < 0 {
 				v.errf(ib.Offset, "jump-table entry %d targets non-boundary %#x", i, target)
 				continue
 			}

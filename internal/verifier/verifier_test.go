@@ -223,3 +223,56 @@ func TestVerifyAcceptsBothProfiles(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyFindingsAreDeterministic strips every check-site record
+// and every store mask from libc, so each of its instrumented branches
+// and masked stores becomes a finding, more than the verifier reports.
+// The capped report must name the same findings, in the same order, on
+// every run.
+func TestVerifyFindingsAreDeterministic(t *testing.T) {
+	lc, err := toolchain.New(
+		toolchain.WithProfile(visa.Profile64),
+		toolchain.WithInstrumentation(),
+	).Libc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := *lc
+	cp.Code = append([]byte(nil), lc.Code...)
+	cp.Aux.IBs = nil
+	skips := map[int]int{}
+	for _, ib := range lc.Aux.IBs {
+		if ib.Kind == module.IBSwitch { // keeps the jump tables skipped
+			cp.Aux.IBs = append(cp.Aux.IBs, ib)
+			skips[ib.TableOff] = ib.TableLen
+		}
+	}
+	for off := 0; off < len(cp.Code); {
+		if n, isTable := skips[off]; isTable && n > 0 {
+			off += n
+			continue
+		}
+		ins, n, err := visa.Decode(cp.Code, off)
+		if err != nil {
+			t.Fatalf("decode at %d: %v", off, err)
+		}
+		if ins.Op == visa.ANDI && ins.Imm == visa.StoreMask {
+			for b := 0; b < n; b++ {
+				cp.Code[off+b] = byte(visa.NOP)
+			}
+		}
+		off += n
+	}
+	first := verifier.Verify(&cp)
+	if first == nil {
+		t.Fatal("stripped libc must be rejected")
+	}
+	if n := strings.Count(first.Error(), "\n") + 1; n != 50 {
+		t.Fatalf("%d findings, want the cap of 50 (the module must exceed it)", n)
+	}
+	for run := 0; run < 20; run++ {
+		if err := verifier.Verify(&cp); err == nil || err.Error() != first.Error() {
+			t.Fatalf("run %d reports different findings:\n%v\nfirst run:\n%v", run, err, first)
+		}
+	}
+}

@@ -39,17 +39,16 @@
 // the icache's one-page-back rule covers every block whose
 // instructions could span a changed range.
 //
-// Invalidation reuses the verdict caches' epoch: a block is stamped
-// with the check epoch read before compiling, and the dispatcher
-// refuses any block whose stamp is below the discard floor. A full
-// update transaction advances the floor to the new epoch
-// (BumpCheckEpoch), condemning every block; a delta update advances
-// only the epoch and drops the compiled blocks of the pages
-// overlapping the changed extent (BumpCheckEpochExtent), so blocks
+// Invalidation: a block is stamped with the compiler's epoch read
+// before compiling, and the dispatcher refuses any block whose stamp
+// is below the discard floor. A full update transaction advances the
+// epoch and the floor with it (DiscardBlocks), condemning every block;
+// a delta update drops only the compiled blocks of the pages
+// overlapping the changed extent (DiscardBlocksExtent), so blocks
 // elsewhere survive, and Protect drops the page caches themselves.
-// Either way a block can never replay a check verdict (checks
-// re-validate at execution) or code bytes from before the change; a
-// condemned block is dropped and its start re-profiled.
+// Either way a block never runs code bytes from before the change (its
+// checks do their table loads at execution); a condemned block is
+// dropped and its start re-profiled.
 //
 // Accounting is bit-identical to the interpreter. Pure register steps
 // and memory steps defer their Instret/PC updates into a pending count
@@ -59,8 +58,9 @@
 // credits that count plus the step itself and reports the fault at
 // the step's PC: the exact interp-engine Instret and fault PC. Near
 // the instruction budget — within the block's retire bound — the
-// dispatcher falls back to single stepping so ErrBudget lands on the
-// precise instruction.
+// dispatcher falls back to single stepping, and a superinstruction
+// stops short of the budget on an instruction boundary (Thread.edge),
+// so ErrBudget lands on the precise instruction.
 package vm
 
 import (
@@ -189,7 +189,7 @@ type stepCall struct {
 
 // compiledBlock is one compiled block.
 type compiledBlock struct {
-	// epoch is the check epoch the block's bytes and fused-check
+	// epoch is the compiler's epoch the block's bytes and fused-check
 	// bindings were read at; the dispatcher drops the block when the
 	// stamp falls below the process's discard floor (advanced by each
 	// full-range update transaction).
@@ -249,11 +249,13 @@ func (jp *jitPage) slot(off int) *atomic.Pointer[compiledBlock] {
 type jitState struct {
 	threshold int64
 
-	// floor is the discard floor: a block whose epoch stamp is below
-	// it is stale. BumpCheckEpoch stores the new epoch here (full
-	// invalidation); BumpCheckEpochExtent leaves it alone and drops
-	// pages' blocks instead (extent invalidation). Invariant: floor <=
-	// epoch, so a freshly stamped block is never born stale.
+	// epoch stamps every compiled block; floor is the discard floor: a
+	// block whose stamp is below it is stale. DiscardBlocks advances
+	// both (full invalidation); DiscardBlocksExtent leaves them alone
+	// and drops pages' blocks instead (extent invalidation).
+	// Invariant: floor <= epoch, so a freshly stamped block is never
+	// born stale.
+	epoch atomic.Int64
 	floor atomic.Int64
 
 	compiled     atomic.Int64
@@ -261,6 +263,30 @@ type jitState struct {
 	discards     atomic.Int64
 	blockRuns    atomic.Int64
 	coldSteps    atomic.Int64
+}
+
+// DiscardBlocks condemns every compiled block: the discard floor
+// advances to a new epoch. The runtime subscribes it to full-range
+// table update transactions.
+func (p *Process) DiscardBlocks() {
+	p.jit.floor.Store(p.jit.epoch.Add(1))
+}
+
+// DiscardBlocksExtent is the delta-update variant: instead of
+// condemning every compiled block it drops only those of the pages
+// overlapping [lo, hi), so blocks outside the changed extent survive a
+// dlopen.
+func (p *Process) DiscardBlocksExtent(lo, hi int64) {
+	first := lo / PageSize
+	if first > 0 {
+		first-- // a block one page back may span into the extent
+	}
+	last := (hi + PageSize - 1) / PageSize
+	for pg := first; pg >= 0 && pg < last && pg < int64(len(p.icache)); pg++ {
+		if c := p.icache[pg].Load(); c != nil {
+			c.dropBlocks()
+		}
+	}
 }
 
 // startHashBits sizes each thread's block-start profile
@@ -739,6 +765,7 @@ func (t *Thread) runBlockJIT(maxInstr int64) error {
 	if maxInstr > 0 {
 		blockBudget = maxInstr
 	}
+	t.edge = blockBudget
 	for {
 		if maxInstr > 0 && t.Instret >= maxInstr {
 			return fmt.Errorf("%w (limit %d)", ErrBudget, maxInstr)
@@ -940,7 +967,7 @@ func (c *pageCache) slotAt(pc, pageEnd int64) *cacheSlot {
 // the block stale on arrival.
 func (p *Process) compileBlock(c *pageCache, start int64) *compiledBlock {
 	t0 := time.Now()
-	epoch := p.fused.epoch.Load()
+	epoch := p.jit.epoch.Load()
 	pageEnd := (start/PageSize + 1) * PageSize
 
 	// Compile into a buffer on the stack and keep an exact-size copy:

@@ -113,7 +113,7 @@ type pageCache struct {
 	direct [PageSize / 32]uint32
 	// jit holds the page's compiled blocks; nil until the page's first
 	// compile, and dropped on its own by extent invalidation
-	// (BumpCheckEpochExtent).
+	// (DiscardBlocksExtent).
 	jit   atomic.Pointer[jitPage]
 	slots [PageSize]cacheSlot
 }
@@ -190,9 +190,7 @@ func (p *Process) cacheFill(pc int64) (*visa.Instr, int, error) {
 // cached there may span into it. Compiled blocks live in the page
 // cache and drop with it: a block contains only instructions that
 // start inside its own page, so the one-page-back rule covers every
-// block that could span the changed range. (Protect additionally
-// bumps the check epoch over the same extent, so cached verdicts
-// bound to the old bytes cannot be replayed either.)
+// block that could span the changed range.
 //
 // A page with no cache is skipped rather than stored nil into, so
 // opening a fresh process's data and stack pages writes nothing. Only

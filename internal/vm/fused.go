@@ -10,16 +10,13 @@
 // have retired, so the Fig. 5/6 cost metric and the differential tests
 // stay bit-identical.
 //
-// On top of fusion sits a per-site verdict cache keyed by an epoch
-// counter: a site that passed for (epoch, target) skips the table
-// loads entirely until the target changes or the epoch moves. The
-// epoch is bumped by every completed update transaction (via
-// tables.Tables.OnUpdate) and by every page-protection transition, so
-// a cached verdict is only ever reused within one published CFG —
-// the same old-CFG/new-CFG atomicity argument as the paper's §5:
-// a check that reuses a verdict while an update is in flight
-// linearizes before that update. The epoch is 64-bit, so unlike the
-// 14-bit version field it cannot wrap around (no ABA).
+// A fused check keeps nothing between executions: every pass does
+// both table loads, as the guest sequence does, so a check reads the
+// CFG that is published at that moment and needs no invalidation of
+// its own when an update transaction or a page-protection transition
+// lands. Near the instruction budget a fused step stops at an
+// instruction boundary rather than retire past it (Thread.edge), so
+// ErrBudget lands where the interpreter's does.
 package vm
 
 import (
@@ -60,16 +57,6 @@ const (
 // engine at Try, which preserves the spin semantics interruptibly.
 const maxFusedRetries = 64
 
-// fusedVerdict is one cached check outcome: at epoch, the branch
-// whose site this is was allowed to reach target (both table loads
-// returned id). Reusing it is sound while the epoch is unchanged — no
-// update transaction has completed since the loads, so they would
-// return the same IDs.
-type fusedVerdict struct {
-	epoch      int64
-	target, id uint32
-}
-
 // fusedSite is the runtime state of one registered check transaction.
 type fusedSite struct {
 	// start is the guest address of the span's first instruction (the
@@ -82,8 +69,6 @@ type fusedSite struct {
 	// gotAddr is the GOT slot address a PLT-variant site reloads its
 	// target from (the stub's MOVI immediate), -1 for canonical sites.
 	gotAddr atomic.Int64
-	// verdict is the last successful check outcome, nil if none.
-	verdict atomic.Pointer[fusedVerdict]
 }
 
 // fusedState is the Process's fusion state. Sites only accumulate
@@ -94,10 +79,6 @@ type fusedState struct {
 	mu    sync.Mutex
 	sites atomic.Pointer[[]*fusedSite]
 	index map[int64]int // start address → slice index; guarded by mu
-
-	// epoch invalidates every cached verdict when bumped: wired to
-	// tables update transactions and to page-protection transitions.
-	epoch atomic.Int64
 }
 
 // RegisterCheckSites tells the process where canonical check
@@ -131,43 +112,6 @@ func (p *Process) RegisterCheckSites(starts []int64) {
 	}
 	f.sites.Store(&sites)
 }
-
-// BumpCheckEpoch invalidates every cached check verdict and marks
-// every compiled block stale (the discard floor advances to the new
-// epoch). The runtime subscribes it to full-range table update
-// transactions so each completed update kills verdicts and blocks
-// bound to the previous CFG.
-func (p *Process) BumpCheckEpoch() {
-	e := p.fused.epoch.Add(1)
-	p.jit.floor.Store(e)
-}
-
-// BumpCheckEpochExtent is the delta-update variant: it invalidates
-// every cached check verdict (verdicts are cheap to recompute and may
-// depend on any table word, so the epoch still bumps), but instead of
-// condemning every compiled block it drops only the compiled blocks
-// of the pages overlapping [lo, hi) — the discard floor stays put, so
-// blocks outside the changed extent survive a dlopen. Sound because a
-// block embeds only code bytes and pre-bound handlers, never a check
-// verdict: fused check steps re-validate against the tables (and the
-// new epoch) at execution time, so a surviving block cannot replay a
-// pre-update verdict.
-func (p *Process) BumpCheckEpochExtent(lo, hi int64) {
-	p.fused.epoch.Add(1)
-	first := lo / PageSize
-	if first > 0 {
-		first-- // a block one page back may span into the extent
-	}
-	last := (hi + PageSize - 1) / PageSize
-	for pg := first; pg >= 0 && pg < last && pg < int64(len(p.icache)); pg++ {
-		if c := p.icache[pg].Load(); c != nil {
-			c.dropBlocks()
-		}
-	}
-}
-
-// CheckEpoch returns the current verdict-cache epoch.
-func (p *Process) CheckEpoch() int64 { return p.fused.epoch.Load() }
 
 // fusedSiteAt returns the registered site starting at pc, if any.
 func (p *Process) fusedSiteAt(pc int64) (int, *fusedSite) {
@@ -300,86 +244,88 @@ func (t *Thread) stepFused(pc int64, ins *visa.Instr) error {
 	site := (*sites)[idx]
 	r := &t.Reg
 
-	// and32 r11 — the masked target is what both the guest tload and
-	// the verdict key see.
+	// and32 r11.
 	r[visa.R11] = int64(uint32(r[visa.R11]))
-	target := uint32(r[visa.R11])
+	target := r[visa.R11]
 	t.FusedExecs++
-
-	// The epoch MUST be read before the table loads: a verdict records
-	// "the loads said yes at this epoch", so the epoch bound to it may
-	// be older than the loads (the verdict dies early — harmless) but
-	// never newer (an old-CFG pass would survive a version bump).
-	epoch := p.fused.epoch.Load()
-
-	if v := site.verdict.Load(); v != nil && v.epoch == epoch && v.target == target {
-		// Cached verdict: architecturally identical to a zero-retry
-		// pass — tloadi, tload, cmp, je Ok — without the table loads.
-		t.FusedVerdictHits++
-		idv := int64(v.id)
-		r[visa.R10], r[visa.R9] = idv, idv
-		t.fa, t.fb, t.fFloat = idv, idv, false
-		t.Instret += 4
-		t.PC = pc + rewrite.CheckSeqSize
-		return t.foldedBranch(ins)
-	}
 
 	baryOff := site.baryOff.Load()
 	for retries := 0; ; retries++ {
 		// Try: tloadi r10; tload r9, r11.
 		bid := p.Tables.Load32(baryOff)
-		tid := p.Tables.Load32(int64(target))
+		tid := p.Tables.Load32(target)
+		n := checkRoundRetires(bid, tid)
+		if t.Instret+n > t.edge {
+			// The round would retire past the budget: stop at Try with
+			// the rounds so far retired, and let per-instruction
+			// stepping retire up to the budget exactly.
+			t.PC = pc + rewrite.CheckTryOffset
+			return nil
+		}
+		t.Instret += n
 		r[visa.R10], r[visa.R9] = int64(bid), int64(tid)
 
 		if bid == tid {
-			// cmp; je Ok (taken): 4 instructions this round.
+			// cmp; je Ok (taken).
 			t.fa, t.fb, t.fFloat = int64(bid), int64(tid), false
-			t.Instret += int64(8*retries) + 4
 			t.PC = pc + rewrite.CheckSeqSize
-			site.verdict.Store(&fusedVerdict{epoch: epoch, target: target, id: bid})
 			return t.foldedBranch(ins)
 		}
 		if tid&1 == 0 {
-			// testb finds the validity bit clear; je Halt (taken); hlt:
-			// 7 instructions this round.
+			// testb finds the validity bit clear; je Halt (taken); hlt.
 			t.fa, t.fb, t.fFloat = 0, 0, false
-			t.Instret += int64(8*retries) + 7
 			t.PC = pc + rewrite.CheckHaltOffset
-			return t.cfiFault(CheckIndirect, int64(target), "hlt")
+			return t.cfiFault(CheckIndirect, target, "hlt")
 		}
 		t.fa, t.fb, t.fFloat = int64(bid&0xFFFF), int64(tid&0xFFFF), false
 		if bid&0xFFFF == tid&0xFFFF {
 			// Same version, different ECN — a true violation: cmpw;
-			// jne Try falls through; hlt: 9 instructions this round.
-			t.Instret += int64(8*retries) + 9
+			// jne Try falls through; hlt.
 			t.PC = pc + rewrite.CheckHaltOffset
-			return t.cfiFault(CheckIndirect, int64(target), "hlt")
+			return t.cfiFault(CheckIndirect, target, "hlt")
 		}
-		// Version mismatch: jne Try (taken), 8 instructions, go again.
+		// Version mismatch: jne Try (taken), go again.
 		if retries+1 >= maxFusedRetries {
 			// An update storm (or an unpublished Bary ID) keeps the
-			// versions apart. Retire the rounds and resume per-
-			// instruction at Try so the spin stays interruptible by
-			// Run's exit and budget polling. The folded branch (if any)
-			// is NOT executed — per-instruction stepping will reach its
+			// versions apart. Resume per-instruction at Try with the
+			// rounds retired, so the spin stays interruptible by Run's
+			// exit and budget polling. The folded branch (if any) is
+			// NOT executed — per-instruction stepping will reach its
 			// plain bytes after the re-run check passes.
-			t.Instret += int64(8 * (retries + 1))
 			t.PC = pc + rewrite.CheckTryOffset
 			return nil
 		}
 	}
 }
 
+// checkRoundRetires is the number of guest instructions one round of
+// the check's Try tail retires for the IDs its table loads returned:
+// tloadi, tload, cmp, je Ok (taken) on a pass = 4; then testb, je Halt
+// (taken), hlt on a clear validity bit = 7; cmpw, jne Try falling
+// through, hlt on a same-version violation = 9; and cmpw, jne Try
+// taken on a version mismatch = 8.
+func checkRoundRetires(bid, tid uint32) int64 {
+	switch {
+	case bid == tid:
+		return 4
+	case tid&1 == 0:
+		return 7
+	case bid&0xFFFF == tid&0xFFFF:
+		return 9
+	}
+	return 8
+}
+
 // foldedBranch completes a passed check whose slot folded the
 // following indirect branch. On entry t.PC is the check span's end —
 // where the interp engine would sit after je Ok — and R11 holds the
 // masked, validated target. The alignment NOPs and the branch itself
-// retire exactly as the interp engine would retire them; a
-// verdict-cache hit reaches here too, so the memoized target transfers
-// without re-decoding the branch. Slots without a fold (ins.R1 == 0)
-// return immediately.
+// retire exactly as the interp engine would retire them. Slots
+// without a fold (ins.R1 == 0) return immediately, and so does a fold
+// that would retire past the budget: PC stays on the span's end, and
+// per-instruction stepping runs the NOPs and the branch.
 func (t *Thread) foldedBranch(ins *visa.Instr) error {
-	if ins.R1 == 0 {
+	if ins.R1 == 0 || t.Instret+int64(ins.R2)+1 > t.edge {
 		return nil
 	}
 	r := &t.Reg
@@ -430,78 +376,61 @@ func (t *Thread) stepFusedPLT(pc int64, ins *visa.Instr) error {
 	t.FusedExecs++
 	t.FusedPLTExecs++
 
-	// Epoch before any load (same ordering argument as stepFused). The
-	// GOT slot is rewritten only inside update transactions, whose
-	// completion bumps the epoch, so a verdict hit may also skip the
-	// GOT reload: a check reusing the verdict linearizes before the
-	// in-flight update, GOT rewrite included.
-	epoch := p.fused.epoch.Load()
-
-	if v := site.verdict.Load(); v != nil && v.epoch == epoch {
-		// Cached verdict: replays a zero-retry pass — movi (already
-		// retired), ld64, and32, tloadi, tload, cmp, je Ok.
-		t.FusedVerdictHits++
-		idv := int64(v.id)
-		r[visa.R11] = int64(v.target)
-		r[visa.R10], r[visa.R9] = idv, idv
-		t.fa, t.fb, t.fFloat = idv, idv, false
-		t.Instret += 6
-		t.PC = pc + rewrite.PLTCheckSeqSize
-		return t.foldedBranch(ins)
-	}
-
 	for retries := 0; ; retries++ {
+		// A round retires its movi (the handler covered round 0's),
+		// the ld64 GOT reload and the and32, then the canonical tail.
+		// Its loads go to locals first, so a round that would retire
+		// past the budget leaves no trace (stopPLTRound).
+		var movi int64
 		if retries > 0 {
-			t.Instret++ // movi (the handler covered round 0's)
+			movi = 1
 		}
-		r[visa.R11] = gotAddr // movi's architectural effect
 		// ld64 r11, [r11] — the GOT reload. It can fault like any guest
-		// load; the fault PC is the ld64's own address and the load
-		// still retires.
-		t.Instret++
-		t.PC = pc + rewrite.PLTCheckLoadOffset
+		// load; the fault PC is the ld64's own address, the load still
+		// retires, and like every load it clobbers its destination with
+		// the (zero) loaded value.
 		v, ok := t.load64(gotAddr)
-		// Like every load, the destination is clobbered with the
-		// (zero) loaded value even when the load faults.
-		r[visa.R11] = int64(v)
 		if !ok {
+			if t.Instret+movi+1 > t.edge {
+				return t.stopPLTRound(pc, gotAddr, retries)
+			}
+			t.Instret += movi + 1
+			r[visa.R11] = int64(v)
+			t.PC = pc + rewrite.PLTCheckLoadOffset
 			return t.memFault(gotAddr, 8, visa.ProtRead)
 		}
-		// and32 r11.
-		t.Instret++
-		r[visa.R11] = int64(uint32(r[visa.R11]))
-		target := uint32(r[visa.R11])
-
-		// Try tail: tloadi r10; tload r9, r11.
+		// and32 r11; Try tail: tloadi r10; tload r9, r11.
+		target := int64(uint32(v))
 		bid := p.Tables.Load32(baryOff)
-		tid := p.Tables.Load32(int64(target))
+		tid := p.Tables.Load32(target)
+		n := movi + 2 + checkRoundRetires(bid, tid)
+		if t.Instret+n > t.edge {
+			return t.stopPLTRound(pc, gotAddr, retries)
+		}
+		t.Instret += n
+		r[visa.R11] = target
 		r[visa.R10], r[visa.R9] = int64(bid), int64(tid)
 
 		if bid == tid {
-			// cmp; je Ok (taken): 4 more this round.
+			// cmp; je Ok (taken).
 			t.fa, t.fb, t.fFloat = int64(bid), int64(tid), false
-			t.Instret += 4
 			t.PC = pc + rewrite.PLTCheckSeqSize
-			site.verdict.Store(&fusedVerdict{epoch: epoch, target: target, id: bid})
 			return t.foldedBranch(ins)
 		}
 		if tid&1 == 0 {
-			// testb; je Halt (taken); hlt: 7 more this round.
+			// testb; je Halt (taken); hlt.
 			t.fa, t.fb, t.fFloat = 0, 0, false
-			t.Instret += 7
 			t.PC = pc + rewrite.PLTCheckHaltOffset
-			return t.cfiFault(CheckPLT, int64(target), "hlt")
+			return t.cfiFault(CheckPLT, target, "hlt")
 		}
 		t.fa, t.fb, t.fFloat = int64(bid&0xFFFF), int64(tid&0xFFFF), false
 		if bid&0xFFFF == tid&0xFFFF {
-			// cmpw; jne Try falls through; hlt: 9 more this round.
-			t.Instret += 9
+			// cmpw; jne Try falls through; hlt.
 			t.PC = pc + rewrite.PLTCheckHaltOffset
-			return t.cfiFault(CheckPLT, int64(target), "hlt")
+			return t.cfiFault(CheckPLT, target, "hlt")
 		}
-		// Version mismatch: jne Try (taken), 8 more, reload the GOT and
-		// go again.
-		t.Instret += 8
+		// Version mismatch: jne Try (taken), reload the GOT and go
+		// again.
 		if retries+1 >= maxFusedRetries {
 			// Hand the spin back to the run loop at Try (= the span
 			// start, so the slot re-enters bounded rounds) to stay
@@ -510,4 +439,19 @@ func (t *Thread) stepFusedPLT(pc int64, ins *visa.Instr) error {
 			return nil
 		}
 	}
+}
+
+// stopPLTRound leaves a PLT check on the instruction boundary before
+// round retries, whose retires would pass the budget, so that
+// per-instruction stepping retires up to the budget exactly: just past
+// the handler's movi for round 0, at the stub's Try (the span start)
+// for a later round.
+func (t *Thread) stopPLTRound(pc, gotAddr int64, retries int) error {
+	if retries == 0 {
+		t.Reg[visa.R11] = gotAddr
+		t.PC = pc + rewrite.PLTCheckLoadOffset
+	} else {
+		t.PC = pc
+	}
+	return nil
 }

@@ -11,8 +11,8 @@
 //   - check + indirect branch: the jmpr/callr/jrestore following a
 //     fused check transaction (plus the rewriter's alignment NOPs)
 //     folds into the superinstruction, so a checked transfer is one
-//     host step and a verdict-cache hit replays the memoized branch
-//     target without re-decoding the branch (fused.go).
+//     host step that branches to the validated target without
+//     re-decoding the branch (fused.go).
 //   - sandbox-mask + store: the rewriter's "andi r, StoreMask" is
 //     always immediately followed by the store it masks; the pair
 //     becomes one trace superinstruction (stepTraceMaskStore below).
@@ -647,8 +647,11 @@ func (p *Process) tryFuseTrace(ins visa.Instr, n int, pc int64) (visa.Instr, int
 func (t *Thread) stepTraceMaskStore(ins *visa.Instr, next int64) error {
 	r := &t.Reg
 	r[ins.R1] &= visa.StoreMask
-	t.Instret++
 	t.PC = next - storeInsSize
+	if t.Instret >= t.edge {
+		return nil // the budget ends on the mask; the store steps alone
+	}
+	t.Instret++
 	addr, v := r[ins.R1]+ins.Imm, r[ins.R2]
 	var ok bool
 	switch ins.R3 {

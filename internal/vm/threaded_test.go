@@ -13,8 +13,8 @@ import (
 
 // engineCold is blockjit with compilation disabled (a threshold above
 // math.MaxUint32): every instruction runs on its threaded handler, so
-// the tests that use it cover the fused checks, the verdict cache, the
-// PLT checks and the trace superinstructions without compiled blocks.
+// the tests that use it cover the fused checks, the PLT checks and the
+// trace superinstructions without compiled blocks.
 // It is a test-only Engine value; useEngine applies it.
 const engineCold = Engine(-1)
 
@@ -98,13 +98,25 @@ func outcomeOf(th *Thread, err error) runOutcome {
 // spinProcess loads "L: movi r11, L; check; between...; jmpr r11" —
 // a self-targeting checked jump — at L = 0x1000 into a process on
 // engine e. Its tables let the check pass (branch 0 and target 0x1000
-// share class 1) and bump the check epoch on update, as mrt.New wires
-// them. With between empty the jmpr folds into the check's slot; any
+// share class 1) and discard compiled blocks on update, as mrt.New
+// wires them. With between empty the jmpr folds into the check's slot; any
 // instruction in between refuses the fold, so the slot ends at the hlt
 // (ins.R1 == 0). Returns the process and the absolute check start.
 func spinProcess(t *testing.T, e Engine, between ...visa.Instr) (*Process, int64) {
-	t.Helper()
-	tb := tables.New(make([]uint32, (1<<14)/4+8), 1<<14, nil)
+	return spinProcessOn(t, spinTables(make([]uint32, spinWords)), e, between...)
+}
+
+// spinWords sizes spinTables' table memory; the Bary word of branch 0
+// is words[spinCodeLimit/4].
+const (
+	spinCodeLimit = 1 << 14
+	spinWords     = spinCodeLimit/4 + 8
+)
+
+// spinTables lays spinProcess's tables over words: branch 0 and the
+// target 0x1000 share class 1.
+func spinTables(words []uint32) *tables.Tables {
+	tb := tables.New(words, spinCodeLimit, nil)
 	tb.Update(func(addr int) int {
 		if addr == 0x1000 {
 			return 1
@@ -116,7 +128,12 @@ func spinProcess(t *testing.T, e Engine, between ...visa.Instr) (*Process, int64
 		}
 		return -1
 	}, tables.UpdateOpts{})
+	return tb
+}
 
+// spinProcessOn is spinProcess over the tables tb.
+func spinProcessOn(t *testing.T, tb *tables.Tables, e Engine, between ...visa.Instr) (*Process, int64) {
+	t.Helper()
 	a := visa.NewAsm()
 	a.Emit(visa.Instr{Op: visa.MOVI, R1: visa.R11, Imm: 0x1000})
 	site := rewrite.EmitTailJump(a, true)
@@ -140,7 +157,7 @@ func spinProcess(t *testing.T, e Engine, between ...visa.Instr) (*Process, int64
 	p := NewProcess()
 	p.Tables = tb
 	useEngine(p, e)
-	tb.OnUpdate(p.BumpCheckEpoch)
+	tb.OnUpdate(p.DiscardBlocks)
 	copy(p.Mem[0x1000:], code)
 	p.Protect(0x1000, int64(len(code)), visa.ProtRead|visa.ProtExec)
 	p.RegisterCheckSites([]int64{checkStart})
@@ -233,12 +250,11 @@ func TestThreadedCheckMatchesInterp(t *testing.T) {
 	}
 }
 
-// TestThreadedVerdictFoldInstret pins the folded verdict-hit path: the
+// TestThreadedFoldedSpinInstret pins the folded check path: the
 // self-targeting checked jump retires movi + and32 + (tloadi tload cmp
 // je) + jmpr = 7 per iteration on every engine, with every iteration
-// after the first served from the verdict cache AND transferring
-// through the memoized folded branch.
-func TestThreadedVerdictFoldInstret(t *testing.T) {
+// one fused check that transfers through its folded branch.
+func TestThreadedFoldedSpinInstret(t *testing.T) {
 	const iters = 1000
 	ith, _ := runSpin(t, EngineInterp, 7*iters)
 	tth, checkStart := runSpin(t, engineCold, 7*iters)
@@ -251,18 +267,14 @@ func TestThreadedVerdictFoldInstret(t *testing.T) {
 	if tth.FusedExecs != iters {
 		t.Errorf("FusedExecs = %d, want %d", tth.FusedExecs, iters)
 	}
-	if tth.FusedVerdictHits != iters-1 {
-		t.Errorf("FusedVerdictHits = %d, want %d", tth.FusedVerdictHits, iters-1)
-	}
 }
 
-// TestFusedVerdictCacheHitsAndInstret pins the verdict cache on a
-// check slot that did not fold its branch: a spinning self-checked
-// jump must serve every iteration after the first from the cache and
-// then step the branch on its own, while the retired count stays
-// bit-identical to the interp engine over the same number of loop
-// iterations.
-func TestFusedVerdictCacheHitsAndInstret(t *testing.T) {
+// TestFusedUnfoldedSpinInstret pins a check slot that did not fold its
+// branch: a spinning self-checked jump must run every iteration's
+// check fused and then step the branch on its own, while the retired
+// count stays bit-identical to the interp engine over the same number
+// of loop iterations.
+func TestFusedUnfoldedSpinInstret(t *testing.T) {
 	// One loop iteration retires movi + and32 + (tloadi tload cmp je) +
 	// addi + jmpr = 8 instructions; budget a whole number of iterations
 	// so both engines stop at the same architectural point.
@@ -279,28 +291,19 @@ func TestFusedVerdictCacheHitsAndInstret(t *testing.T) {
 	if fth.FusedExecs != iters {
 		t.Errorf("FusedExecs = %d, want %d", fth.FusedExecs, iters)
 	}
-	if fth.FusedVerdictHits != iters-1 {
-		t.Errorf("FusedVerdictHits = %d, want %d (every pass after the first)",
-			fth.FusedVerdictHits, iters-1)
-	}
 	// The process-wide counters (the serving /metrics source) must
 	// agree with the thread-local ones once Run has flushed.
 	st := fth.P.CheckStatsSnapshot()
-	if st.Execs != fth.FusedExecs || st.VerdictHits != fth.FusedVerdictHits {
-		t.Errorf("process counters %+v diverge from thread (execs %d, hits %d)",
-			st, fth.FusedExecs, fth.FusedVerdictHits)
-	}
-	if st.VerdictMisses != 1 {
-		t.Errorf("VerdictMisses = %d, want 1 (only the first pass)", st.VerdictMisses)
+	if st.Execs != fth.FusedExecs || st.VerdictHits != 0 || st.VerdictMisses != st.Execs {
+		t.Errorf("process counters %+v diverge from thread (execs %d)", st, fth.FusedExecs)
 	}
 }
 
-// TestFusedVerdictDiesOnUpdate is the stale-verdict check: a site
-// passes and caches its verdict, then an update transaction moves the
-// branch into a different equivalence class. The next execution MUST
-// re-load the tables and halt; a verdict surviving the version bump
+// TestFusedCheckHaltsAfterUpdate: a site passes many times, then an
+// update transaction moves the branch into a different equivalence
+// class. The next execution MUST halt; a pass after the version bump
 // would let an old-CFG edge through the new CFG.
-func TestFusedVerdictDiesOnUpdate(t *testing.T) {
+func TestFusedCheckHaltsAfterUpdate(t *testing.T) {
 	p, checkStart := spinProcess(t, engineCold)
 	th := p.NewThread(0x1000, visa.SandboxSize-64)
 	if err := th.Run(700); err != nil {
@@ -308,8 +311,8 @@ func TestFusedVerdictDiesOnUpdate(t *testing.T) {
 			t.Fatalf("priming spin faulted: %v", err)
 		}
 	}
-	if th.FusedVerdictHits == 0 {
-		t.Fatalf("no verdict hits while priming; cache not engaged")
+	if th.FusedExecs < 2 {
+		t.Fatalf("FusedExecs = %d while priming; fusion not engaged", th.FusedExecs)
 	}
 
 	// The branch moves to class 2; its only target stays class 1. Both
@@ -331,7 +334,7 @@ func TestFusedVerdictDiesOnUpdate(t *testing.T) {
 	err := th.Run(th.Instret + 700)
 	f, ok := err.(*Fault)
 	if !ok || f.Kind != FaultCFI {
-		t.Fatalf("stale verdict survived the update: err=%v (want CFI halt)", err)
+		t.Fatalf("check passed after the update: err=%v (want CFI halt)", err)
 	}
 	if f.PC != checkStart+rewrite.CheckHaltOffset {
 		t.Errorf("halt PC = %#x, want %#x", f.PC, checkStart+rewrite.CheckHaltOffset)
@@ -343,7 +346,7 @@ func TestFusedVerdictDiesOnUpdate(t *testing.T) {
 // its branch (TestThreadedFillInvalidateRace covers the folded one):
 // the spinning checked jump keeps passing while a host goroutine
 // re-versions the tables continuously, driving the slot's retry loop.
-// Under -race this also exercises the verdict-cache/update-transaction
+// Under -race this also exercises the check/update-transaction
 // interleavings.
 func TestFusedRetriesThroughUpdate(t *testing.T) {
 	p, checkStart := spinProcess(t, engineCold, unfolded)
@@ -590,46 +593,40 @@ func TestThreadedPLTCheckMatchesInterp(t *testing.T) {
 	}
 }
 
-// TestThreadedPLTVerdictCache pins the PLT verdict cache: a spinning
-// PLT stub whose GOT points back at the stub itself serves every
-// round after the first from the cache, with instret bit-identical to
-// interp (each round is movi, ld64, and32, tloadi, tload, cmp, je,
-// jmpr = 8 instructions).
-func TestThreadedPLTVerdictCache(t *testing.T) {
+// pltSpinThread loads a PLT stub at 0x1000 whose GOT slot (on page
+// 0x4000) points back at the stub itself, into a process on engine e
+// over the tables tb (spinTables: the stub's check passes), and
+// returns a thread at the stub. The stub's jmpr folds into the check
+// slot unless between keeps it out.
+func pltSpinThread(t *testing.T, tb *tables.Tables, e Engine, between ...visa.Instr) *Thread {
+	t.Helper()
 	const stub = int64(0x1000)
 	const gotPage = int64(0x4000)
-	mk := func() *tables.Tables {
-		tb := tables.New(make([]uint32, (1<<14)/4+8), 1<<14, nil)
-		tb.Update(func(addr int) int {
-			if addr == int(stub) {
-				return 1
-			}
-			return -1
-		}, func(i int) int {
-			if i == 0 {
-				return 1
-			}
-			return -1
-		}, tables.UpdateOpts{})
-		return tb
+	code := pltBlob(t, tb, 0, gotPage, between...)
+	p := NewProcess()
+	p.Tables = tb
+	useEngine(p, e)
+	copy(p.Mem[stub:], code)
+	p.Protect(stub, int64(len(code)), visa.ProtRead|visa.ProtExec)
+	p.Protect(gotPage, PageSize, visa.ProtRead|visa.ProtWrite)
+	for i := 0; i < 8; i++ {
+		p.Mem[gotPage+int64(i)] = byte(uint64(stub) >> (8 * i))
 	}
+	p.RegisterCheckSites([]int64{stub})
+	return p.NewThread(stub, visa.SandboxSize-64)
+}
+
+// TestThreadedPLTSpinInstret pins the fused PLT check: a spinning PLT
+// stub whose GOT points back at the stub itself runs every round as
+// one fused PLT check, with instret bit-identical to interp (each
+// round is movi, ld64, and32, tloadi, tload, cmp, je, jmpr = 8
+// instructions).
+func TestThreadedPLTSpinInstret(t *testing.T) {
 	const iters = 500
 	const budget = 8 * iters
 
 	run := func(e Engine) (*Thread, error) {
-		tb := mk()
-		code := pltBlob(t, tb, 0, gotPage)
-		p := NewProcess()
-		p.Tables = tb
-		useEngine(p, e)
-		copy(p.Mem[stub:], code)
-		p.Protect(stub, int64(len(code)), visa.ProtRead|visa.ProtExec)
-		p.Protect(gotPage, PageSize, visa.ProtRead|visa.ProtWrite)
-		for i := 0; i < 8; i++ {
-			p.Mem[gotPage+int64(i)] = byte(uint64(stub) >> (8 * i))
-		}
-		p.RegisterCheckSites([]int64{stub})
-		th := p.NewThread(stub, visa.SandboxSize-64)
+		th := pltSpinThread(t, spinTables(make([]uint32, spinWords)), e)
 		err := th.Run(budget)
 		return th, err
 	}
@@ -648,8 +645,104 @@ func TestThreadedPLTVerdictCache(t *testing.T) {
 	if tth.FusedPLTExecs != iters {
 		t.Errorf("FusedPLTExecs = %d, want %d", tth.FusedPLTExecs, iters)
 	}
-	if tth.FusedVerdictHits != iters-1 {
-		t.Errorf("FusedVerdictHits = %d, want %d", tth.FusedVerdictHits, iters-1)
+}
+
+// TestCheckBudgetSweep puts the instruction budget on every position
+// of a few passes of each check span shape and demands the
+// interpreter's outcome (ErrBudget or fault, Instret, PC, the MCFI
+// scratch registers, the flags) from the threaded handlers and from
+// blockjit compiling at the first entry. The shapes are the canonical
+// check with its branch folded and unfolded, the PLT check likewise, a
+// check that halts, and a check whose Bary and Tary versions never
+// agree, swept past its 64 retry rounds and the hand-back to
+// per-instruction stepping (canonical and PLT).
+func TestCheckBudgetSweep(t *testing.T) {
+	halting := func(t *testing.T, e Engine) *Thread {
+		p, _ := spinProcess(t, e)
+		p.Tables.Update(func(addr int) int {
+			if addr == 0x1000 {
+				return 1
+			}
+			return -1
+		}, func(i int) int {
+			if i == 0 {
+				return 2
+			}
+			return -1
+		}, tables.UpdateOpts{})
+		return p.NewThread(0x1000, visa.SandboxSize-64)
+	}
+	// mismatchedTables flips the low version bit of branch 0's Bary ID.
+	mismatchedTables := func() *tables.Tables {
+		words := make([]uint32, spinWords)
+		tb := spinTables(words)
+		words[spinCodeLimit/4] ^= 2
+		return tb
+	}
+	mismatched := func(t *testing.T, e Engine) *Thread {
+		p, _ := spinProcessOn(t, mismatchedTables(), e)
+		return p.NewThread(0x1000, visa.SandboxSize-64)
+	}
+	pltMismatched := func(t *testing.T, e Engine) *Thread {
+		return pltSpinThread(t, mismatchedTables(), e)
+	}
+	spin := func(between ...visa.Instr) func(*testing.T, Engine) *Thread {
+		return func(t *testing.T, e Engine) *Thread {
+			p, _ := spinProcess(t, e, between...)
+			return p.NewThread(0x1000, visa.SandboxSize-64)
+		}
+	}
+	plt := func(between ...visa.Instr) func(*testing.T, Engine) *Thread {
+		return func(t *testing.T, e Engine) *Thread {
+			return pltSpinThread(t, spinTables(make([]uint32, spinWords)), e, between...)
+		}
+	}
+	type outcome struct {
+		runOutcome
+		budget bool
+		r1     int64
+	}
+	for _, c := range []struct {
+		name    string
+		thread  func(*testing.T, Engine) *Thread
+		budgets int64
+	}{
+		{"canonical-folded", spin(), 30},
+		{"canonical-unfolded", spin(unfolded), 30},
+		{"plt-folded", plt(), 30},
+		{"plt-unfolded", plt(unfolded), 30},
+		{"halting", halting, 15},
+		{"mismatched", mismatched, 8*maxFusedRetries + 30},
+		{"plt-mismatched", pltMismatched, 11*maxFusedRetries + 30},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(e Engine, budget int64) (outcome, *Thread) {
+				th := c.thread(t, e)
+				if e == EngineBlockJIT {
+					th.P.SetJITThreshold(1)
+				}
+				err := th.Run(budget)
+				o := outcome{runOutcome: outcomeOf(th, err), budget: errors.Is(err, ErrBudget), r1: th.Reg[visa.R1]}
+				if !o.budget && !o.faulted {
+					t.Fatalf("%s budget %d: Run = %v, want ErrBudget or a fault", e, budget, err)
+				}
+				return o, th
+			}
+			var fused int64
+			for budget := int64(1); budget <= c.budgets; budget++ {
+				want, _ := run(EngineInterp, budget)
+				for _, e := range []Engine{engineCold, EngineBlockJIT} {
+					got, th := run(e, budget)
+					fused += th.FusedExecs
+					if got != want {
+						t.Errorf("%s budget %d:\n got %+v\nwant %+v", e, budget, got, want)
+					}
+				}
+			}
+			if fused == 0 {
+				t.Error("no fused check ran")
+			}
+		})
 	}
 }
 

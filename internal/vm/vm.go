@@ -189,12 +189,12 @@ type Process struct {
 	engine Engine
 	icache []atomic.Pointer[pageCache]
 
-	// fused holds the registered check-transaction sites, their verdict
-	// cache, and the invalidation epoch (see fused.go).
+	// fused holds the registered check-transaction sites (see
+	// fused.go).
 	fused fusedState
 
-	// jit holds the block compiler's threshold, discard floor and
-	// counters (EngineBlockJIT; see blockjit.go).
+	// jit holds the block compiler's threshold, epoch, discard floor
+	// and counters (EngineBlockJIT; see blockjit.go).
 	jit jitState
 
 	exited   atomic.Bool
@@ -216,15 +216,14 @@ type Process struct {
 	// by serving metrics. checkHalts counts CFI faults and is bumped
 	// directly at fault construction — violations are terminal, so
 	// contention is irrelevant there.
-	checkExecs  atomic.Int64
-	checkHalts  atomic.Int64
-	verdictHits atomic.Int64
-	pltExecs    atomic.Int64
+	checkExecs atomic.Int64
+	checkHalts atomic.Int64
+	pltExecs   atomic.Int64
 
 	// icacheFills counts cold predecodes into the per-page instruction
 	// cache — blockjit's cache-miss side, exported for
 	// tracing (a first run on a replica shows a fill burst; a warm
-	// verdict-cached run shows none).
+	// run shows none).
 	icacheFills atomic.Int64
 
 	// nextTID hands out thread ids; threads tracks live ones.
@@ -264,12 +263,6 @@ func (p *Process) Protect(addr, size int64, prot uint32) {
 		atomic.StoreUint32(&p.perms[pg], prot)
 	}
 	p.invalidate(first, last)
-	// Code (and so the meaning of a cached check verdict) may have
-	// changed across the transition — but only inside [addr,
-	// addr+size), so condemn blocks and verdicts per-extent rather
-	// than flushing the whole block compiler; a dlopen then costs the
-	// new module's pages, not every hot block in the program.
-	p.BumpCheckEpochExtent(addr, addr+size)
 }
 
 // Prot returns the protection bits of the page containing addr.
@@ -331,8 +324,10 @@ type CheckStats struct {
 	Execs int64
 	// Halts counts halted checks — CFI faults — under every engine.
 	Halts int64
-	// VerdictHits counts fused checks served from the per-site verdict
-	// cache without touching the tables; Misses is the remainder.
+	// VerdictHits is always 0 and VerdictMisses always Execs: a fused
+	// check keeps no verdict between executions, so every one does its
+	// table loads. The two fields exist only so perfbench can still
+	// report vm.verdict_hit_ratio; they go when that metric does.
 	VerdictHits   int64
 	VerdictMisses int64
 	// PLTExecs counts the subset of Execs that ran the PLT-stub check
@@ -349,8 +344,8 @@ type CheckStats struct {
 	// dispatches and JITColdSteps single-instruction (cold or
 	// budget-edge) dispatches, so hot/cold ratio is
 	// BlockRuns/(BlockRuns+ColdSteps); JITDiscards counts blocks
-	// dropped, at dispatch or on recompilation, because the check
-	// epoch moved.
+	// dropped, at dispatch or on recompilation, because a full update
+	// transaction moved the discard floor past them.
 	JITBlocks       int64
 	JITCompileNanos int64
 	JITBlockRuns    int64
@@ -364,12 +359,10 @@ type CheckStats struct {
 // the totals are exact.
 func (p *Process) CheckStatsSnapshot() CheckStats {
 	execs := p.checkExecs.Load()
-	hits := p.verdictHits.Load()
 	return CheckStats{
 		Execs:           execs,
 		Halts:           p.checkHalts.Load(),
-		VerdictHits:     hits,
-		VerdictMisses:   execs - hits,
+		VerdictMisses:   execs,
 		PLTExecs:        p.pltExecs.Load(),
 		ICacheFills:     p.icacheFills.Load(),
 		JITBlocks:       p.jit.compiled.Load(),
@@ -427,21 +420,24 @@ type Thread struct {
 
 	// Instret counts instructions retired by this thread.
 	Instret int64
+	// edge is the Instret bound of the current blockjit Run
+	// (math.MaxInt64 when it has none). A superinstruction whose next
+	// part would retire past it stops on the instruction boundary
+	// before that part instead, so ErrBudget lands on the
+	// interpreter's instruction.
+	edge int64
 	// flushed is the portion of Instret already added to the
 	// process-wide counter (Run's periodic flush watermark).
 	flushed int64
 
 	// FusedExecs counts fused check transactions executed by this
-	// thread; FusedVerdictHits counts the subset served from the
-	// verdict cache without touching the tables; FusedPLTExecs the
-	// subset that ran the PLT-stub template. All flush to the
-	// process-wide counters at the instret watermark cadence.
-	FusedExecs       int64
-	FusedVerdictHits int64
-	FusedPLTExecs    int64
-	flushedExecs     int64
-	flushedHits      int64
-	flushedPLT       int64
+	// thread; FusedPLTExecs the subset that ran the PLT-stub template.
+	// Both flush to the process-wide counters at the instret watermark
+	// cadence.
+	FusedExecs    int64
+	FusedPLTExecs int64
+	flushedExecs  int64
+	flushedPLT    int64
 
 	// JITBlockRuns counts compiled-block dispatches by this thread;
 	// JITColdSteps counts its single-instruction dispatches under
@@ -700,8 +696,6 @@ func (t *Thread) flushCounters() {
 	t.flushed = t.Instret
 	t.P.checkExecs.Add(t.FusedExecs - t.flushedExecs)
 	t.flushedExecs = t.FusedExecs
-	t.P.verdictHits.Add(t.FusedVerdictHits - t.flushedHits)
-	t.flushedHits = t.FusedVerdictHits
 	t.P.pltExecs.Add(t.FusedPLTExecs - t.flushedPLT)
 	t.flushedPLT = t.FusedPLTExecs
 	t.P.jit.blockRuns.Add(t.JITBlockRuns - t.flushedBlockRuns)

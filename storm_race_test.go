@@ -3,16 +3,16 @@
 // compile-eager threshold, while a host goroutine issues table update
 // transactions as fast as it can — the dynamic-linking scenario,
 // compressed. Under `go test -race` this exercises every interleaving
-// of the engine's caches with the storm: the epoch hook fires inside
-// the update lock while guest threads read it lock-free, the bounded
-// host retry loop hands version storms back to per-instruction
+// of the engine's caches with the storm: the block-discard hook fires
+// inside the update lock while guest threads read the discard floor
+// lock-free, fused checks load the tables as they are rewritten, the
+// bounded host retry loop hands version storms back to per-instruction
 // stepping, and the fill path publishes handlers and scans folds past
-// check spans against concurrent epoch bumps and slot invalidation
-// (on the threaded handlers alone); blocks are compiled, dispatched
-// epoch-stamped, discarded and recompiled (with the eager threshold,
-// so hot blocks are genuinely compiled). A cache that survived an epoch bump
-// would replay a stale check verdict; the differential assertion
-// against the interpreter catches exactly that.
+// check spans against concurrent slot invalidation (on the threaded
+// handlers alone); blocks are compiled, dispatched epoch-stamped,
+// discarded and recompiled (with the eager threshold, so hot blocks
+// are genuinely compiled). The differential assertion against the
+// interpreter catches any of them changing what the guest computes.
 package mcfi
 
 import (
@@ -88,10 +88,9 @@ func TestEnginesUnderUpdateStorm(t *testing.T) {
 			}
 
 			// Without updates the retired count must be bit-identical: a
-			// verdict hit retires exactly the instructions of the pass it
-			// replays, a folded branch exactly the instruction it
-			// replaces, a compiled block exactly the instructions it
-			// covers. (Under updates the retry counts are scheduling-
+			// fused check retires exactly the instructions of the pass it
+			// runs, a folded branch exactly the instruction it replaces,
+			// a compiled block exactly the instructions it covers. (Under updates the retry counts are scheduling-
 			// dependent in every engine, so only the quiet run is
 			// compared.)
 			quiet := runWithConfig(t, img, c.engineConfig)
