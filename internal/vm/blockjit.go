@@ -153,9 +153,9 @@ const (
 
 // blockStep is one micro-op of a compiled block: a kind tag plus
 // pre-extracted operands, 32 bytes, stored in a contiguous array — the
-// block loop walks it like the icache slot array instead of chasing
-// per-step heap closures. The few steps that call a threaded handler
-// keep it in the block's calls array. Field use by kind:
+// block loop walks it in order instead of chasing per-step heap
+// closures. The few steps that call a threaded handler keep it in the
+// block's calls array. Field use by kind:
 //
 //	pures:     r1, r2, imm as in the source instruction (cc for kSet)
 //	memory:    r1, r2, imm as above; pc = the access's own PC,
@@ -758,7 +758,7 @@ func bindPureStep(kind uint8, ins visa.Instr) blockStep {
 // per window.
 func (t *Thread) runBlockJIT(maxInstr int64) error {
 	p := t.P
-	icache := p.icache
+	icache := &p.icache
 	t.startThreshold = p.jitThreshold()
 	t.noteStart(t.PC) // entering from the host is a control transfer too
 	blockBudget := int64(math.MaxInt64)
@@ -792,7 +792,7 @@ func (t *Thread) runBlockJIT(maxInstr int64) error {
 					w, bit := off>>5, uint32(1)<<(off&31)
 					if atomic.LoadUint32(&c.direct[w])&bit != 0 {
 						cold++
-						s := &c.slots[off]
+						s := c.slot(off)
 						if err := s.fn(t, &s.ins, pc, pc+int64(s.size)); err != nil {
 							return t.creditCold(cold, err)
 						}
@@ -815,7 +815,7 @@ func (t *Thread) runBlockJIT(maxInstr int64) error {
 							}
 						}
 						cold++
-						s := &c.slots[off]
+						s := c.slot(off)
 						if err := s.fn(t, &s.ins, pc, pc+int64(s.size)); err != nil {
 							return t.creditCold(cold, err)
 						}
@@ -951,7 +951,7 @@ func (c *pageCache) slotAt(pc, pageEnd int64) *cacheSlot {
 	if atomic.LoadUint32(&c.valid[off>>5])&(uint32(1)<<(off&31)) == 0 {
 		return nil
 	}
-	return &c.slots[off]
+	return c.slot(off)
 }
 
 // compileBlock compiles the trace starting at start, in the page
@@ -1130,10 +1130,13 @@ func (p *Process) compileBlock(c *pageCache, start int64) *compiledBlock {
 		pc = next
 	}
 
-	// Fall-through exit (page boundary, step cap, or undecodable
-	// successor): credit any deferred retires and land PC on the next
-	// instruction. When pending is zero the last step already set PC.
-	if !done && pending > 0 {
+	// Fall-through exit (page boundary, step cap, or an instruction not
+	// fetched yet): credit any deferred retires, land PC on the next
+	// instruction and report it as a block start. The report matters
+	// even when nothing is pending — after a not-taken branch or a
+	// handler step, which set PC themselves — because code reached only
+	// by this fall-through has no other way to get hot.
+	if !done && (pending > 0 || len(steps) > 0) {
 		steps = append(steps, blockStep{kind: kEnd, pc: pc, pending: int16(pending)})
 	}
 	if len(steps) == 0 {

@@ -401,3 +401,54 @@ func TestBlockJITMemoryStepsDeferAccounting(t *testing.T) {
 		t.Fatal("budget sweep: no compiled block ran")
 	}
 }
+
+// TestBlockJITCompilesFallThroughStart: an inner loop's block compiles
+// while its exit has never run, so its trace ends at the not-taken
+// branch and its fall-through code is first fetched later. That code
+// is reached only through the block's fall-through, so the block must
+// report it as a start, or it runs on the cold path forever. It must
+// get a compiled block of its own, with the interpreter's instret.
+func TestBlockJITCompilesFallThroughStart(t *testing.T) {
+	a := visa.NewAsm()
+	a.Emit(visa.Instr{Op: visa.MOVI, R1: visa.R2, Imm: 40})
+	a.Label("outer")
+	a.Emit(visa.Instr{Op: visa.MOVI, R1: visa.R1, Imm: 10})
+	a.Label("inner")
+	a.Emit(visa.Instr{Op: visa.ADD, R1: visa.R3, R2: visa.R1})
+	a.Emit(visa.Instr{Op: visa.ADDI, R1: visa.R1, Imm: -1})
+	a.Emit(visa.Instr{Op: visa.CMPI, R1: visa.R1, Imm: 0})
+	a.EmitBranch(visa.JNE, "inner")
+	a.Label("after")
+	a.Emit(visa.Instr{Op: visa.ADDI, R1: visa.R4, Imm: 3})
+	a.Emit(visa.Instr{Op: visa.ADDI, R1: visa.R2, Imm: -1})
+	a.Emit(visa.Instr{Op: visa.CMPI, R1: visa.R2, Imm: 0})
+	a.EmitBranch(visa.JNE, "outer")
+	a.Emit(visa.Instr{Op: visa.HLT})
+	if err := a.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	off, _ := a.LabelAt("after")
+	after := int64(visa.CodeBase + off)
+
+	run := func(e Engine) (*Process, *Thread) {
+		p := NewProcess()
+		p.SetEngine(e)
+		p.SetJITThreshold(4)
+		copy(p.Mem[visa.CodeBase:], a.Code)
+		p.Protect(visa.CodeBase, PageSize, visa.ProtRead|visa.ProtExec)
+		th := p.NewThread(visa.CodeBase, visa.DataBase+1<<16)
+		if f, ok := th.Run(1 << 20).(*Fault); !ok || f.Kind != FaultCFI {
+			t.Fatalf("%s: want the final hlt", e)
+		}
+		return p, th
+	}
+	_, ref := run(EngineInterp)
+	p, got := run(EngineBlockJIT)
+	if got.Instret != ref.Instret || got.Reg[visa.R3] != ref.Reg[visa.R3] || got.Reg[visa.R4] != ref.Reg[visa.R4] {
+		t.Errorf("blockjit instret=%d r3=%d r4=%d, interp instret=%d r3=%d r4=%d",
+			got.Instret, got.Reg[visa.R3], got.Reg[visa.R4], ref.Instret, ref.Reg[visa.R3], ref.Reg[visa.R4])
+	}
+	if p.compiledBlockAt(after) == nil {
+		t.Errorf("no block compiled at the inner loop's exit %#x, reached %d times by fall-through only", after, 40)
+	}
+}

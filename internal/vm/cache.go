@@ -93,12 +93,22 @@ func ParseEngine(s string) (Engine, error) {
 	return 0, fmt.Errorf("vm: unknown engine %q (want one of: %s)", s, strings.Join(EngineNames(), ", "))
 }
 
+// icachePages is how many pages the instruction cache covers: the code
+// region, [0, taryCodeLimit), where the runtime installs every module.
+// A pc above it runs through the miss path uncached.
+const icachePages = taryCodeLimit / PageSize
+
 // pageCache holds the predecoded instructions of one guest page,
-// indexed by the instruction's starting offset within the page. Slots
-// are published with an atomic bitmap store after their fields are
-// written, so concurrent guest threads can share one cache; fills take
-// the mutex (slow path only — each slot is decoded once per page
-// generation).
+// indexed by the instruction's starting offset within the page. It
+// holds only the slots it fills: VISA instructions are variable-length
+// and only executed ones are decoded, so a code page fills about one
+// offset in ten. index maps a filled offset to its fill number n, and
+// slot n lives in chunks[n/slotChunkLen], allocated in fill order. A
+// fill writes both under mu, then publishes the offset with an atomic
+// bitmap store, so concurrent guest threads can share one cache and a
+// reader that saw the bit reads both without a lock (slot). A dispatch
+// from the cache costs the bitmap load plus two dependent loads, the
+// index and the chunk pointer, before the slot itself.
 //
 // The block compiler's state for the page hangs off the same struct,
 // so the cold path's one page-table load serves both the slot and the
@@ -114,13 +124,29 @@ type pageCache struct {
 	// jit holds the page's compiled blocks; nil until the page's first
 	// compile, and dropped on its own by extent invalidation
 	// (DiscardBlocksExtent).
-	jit   atomic.Pointer[jitPage]
-	slots [PageSize]cacheSlot
+	jit atomic.Pointer[jitPage]
+	// index, chunks and filled are written only under mu; an index
+	// entry and its chunk never change once the offset is valid.
+	index  [PageSize]uint16
+	chunks [PageSize / slotChunkLen]*slotChunk
+	filled int
 }
 
-// cacheSlot colocates everything one dispatch needs — the predecoded
-// instruction, its encoded size, and the operation's func pointer —
-// so a hit touches one cache line instead of three parallel arrays. A
+// slotChunkLen is the slots one slotChunk holds.
+const slotChunkLen = 64
+
+// slotChunk is one fill-ordered stretch of a page's slots.
+type slotChunk [slotChunkLen]cacheSlot
+
+// slot returns the slot of page offset off, whose valid bit the caller
+// has seen set.
+func (c *pageCache) slot(off int) *cacheSlot {
+	n := c.index[off]
+	return &c.chunks[n/slotChunkLen][n%slotChunkLen]
+}
+
+// cacheSlot holds everything one dispatch needs: the predecoded
+// instruction, its encoded size, and the operation's func pointer. A
 // hit needs no Prot check: slots are filled only after the
 // executability check passes, and Protect invalidates every affected
 // page on every transition, so a valid slot implies the page has been
@@ -151,25 +177,27 @@ func (p *Process) predecode(pc int64) (visa.Instr, int, error) {
 
 // cacheFill predecodes the instruction at pc and publishes it into the
 // page's cache. The caller has already checked that pc is executable.
+// A pc above the cached range, or on a page an invalidation dropped
+// during the decode, executes the decoded instruction uncached.
 func (p *Process) cacheFill(pc int64) (*visa.Instr, int, error) {
 	p.icacheFills.Add(1)
 	ins, n, err := p.predecode(pc)
 	if err != nil {
 		return nil, 0, err
 	}
-	slot := &p.icache[pc/PageSize]
-	c := slot.Load()
-	if c == nil {
-		nc := &pageCache{}
-		if slot.CompareAndSwap(nil, nc) {
-			c = nc
-		} else {
-			c = slot.Load()
+	var c *pageCache
+	if pg := uint64(pc) / PageSize; pg < uint64(len(p.icache)) {
+		slot := &p.icache[pg]
+		if c = slot.Load(); c == nil {
+			nc := &pageCache{}
+			if slot.CompareAndSwap(nil, nc) {
+				c = nc
+			} else {
+				c = slot.Load()
+			}
 		}
 	}
 	if c == nil {
-		// The page was invalidated while we were decoding; execute the
-		// instruction we decoded without caching it.
 		tmp := ins
 		return &tmp, n, nil
 	}
@@ -177,12 +205,20 @@ func (p *Process) cacheFill(pc int64) (*visa.Instr, int, error) {
 	word, bit := &c.valid[off>>5], uint32(1)<<(off&31)
 	c.mu.Lock()
 	if atomic.LoadUint32(word)&bit == 0 {
-		c.slots[off] = cacheSlot{ins: ins, size: uint8(n), fn: opFuncs[ins.Op]}
+		i := c.filled
+		c.filled++
+		ch := c.chunks[i/slotChunkLen]
+		if ch == nil {
+			ch = new(slotChunk)
+			c.chunks[i/slotChunkLen] = ch
+		}
+		ch[i%slotChunkLen] = cacheSlot{ins: ins, size: uint8(n), fn: opFuncs[ins.Op]}
+		c.index[off] = uint16(i)
 		atomic.StoreUint32(word, atomic.LoadUint32(word)|bit)
 		setBits(&c.direct[off>>5], bit)
 	}
 	c.mu.Unlock()
-	return &c.slots[off].ins, n, nil
+	return &c.slot(off).ins, n, nil
 }
 
 // invalidate drops the decode cache of pages [first-1, last) — one

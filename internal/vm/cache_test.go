@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"sync"
 	"testing"
 
 	"mcfi/internal/visa"
@@ -130,6 +131,173 @@ func TestEnginesRetireIdenticalStreams(t *testing.T) {
 		if ei, es := run(e); ei != ii || es != is {
 			t.Errorf("engines diverge: %s (instret=%d sum=%d) vs interp (instret=%d sum=%d)",
 				e, ei, es, ii, is)
+		}
+	}
+}
+
+// fillRaceCode is a page of straight-line code — a varied run of
+// register, push and pop instructions — inside a loop that runs it
+// rounds times, then halts. Every thread that runs it fills and
+// dispatches the same slots and compiles the same blocks.
+func fillRaceCode(t *testing.T, rounds int64) []byte {
+	t.Helper()
+	a := visa.NewAsm()
+	a.Emit(visa.Instr{Op: visa.MOVI, R1: visa.R6, Imm: rounds})
+	a.Label("loop")
+	for i := int64(0); a.Pos() < PageSize-64; i++ {
+		r := visa.R1 + byte(i%4)
+		switch i % 5 {
+		case 0:
+			a.Emit(visa.Instr{Op: visa.ADDI, R1: r, Imm: i})
+		case 1:
+			a.Emit(visa.Instr{Op: visa.XOR, R1: r, R2: r + 1})
+		case 2:
+			a.Emit(visa.Instr{Op: visa.PUSH, R1: r})
+		case 3:
+			a.Emit(visa.Instr{Op: visa.POP, R1: r + 1})
+		case 4:
+			a.Emit(visa.Instr{Op: visa.NOP})
+		}
+	}
+	a.Emit(visa.Instr{Op: visa.ADDI, R1: visa.R6, Imm: -1})
+	a.Emit(visa.Instr{Op: visa.CMPI, R1: visa.R6, Imm: 0})
+	a.EmitBranch(visa.JNE, "loop")
+	a.Emit(visa.Instr{Op: visa.HLT})
+	if err := a.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Code) > PageSize-int(visa.CodeBase%PageSize) {
+		t.Fatalf("%d code bytes do not fit the page", len(a.Code))
+	}
+	return a.Code
+}
+
+// TestPageCacheConcurrentFill starts many guest threads on one page at
+// once, so they fill its slots, allocate its slot chunks, dispatch from
+// them and compile its blocks concurrently. Under -race this pins the
+// page cache's publication order: a slot's index entry and chunk are
+// written before its valid bit, and read only after it. Every thread
+// must retire what the interpreter retires.
+func TestPageCacheConcurrentFill(t *testing.T) {
+	const threads, rounds = 8, 40
+	code := fillRaceCode(t, rounds)
+	stack := func(i int) int64 { return visa.DataBase + int64(i+1)<<12 }
+	run := func(e Engine, n int) []*Thread {
+		p := NewProcess()
+		useEngine(p, e)
+		p.SetJITThreshold(4)
+		copy(p.Mem[visa.CodeBase:], code)
+		p.Protect(visa.CodeBase, PageSize, visa.ProtRead|visa.ProtExec)
+		p.Protect(visa.DataBase, int64(n+1)<<12, visa.ProtRead|visa.ProtWrite)
+		ths := make([]*Thread, n)
+		errs := make([]error, n)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range ths {
+			ths[i] = p.NewThread(visa.CodeBase, stack(i))
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				errs[i] = ths[i].Run(1 << 24)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for i, err := range errs {
+			if f, ok := err.(*Fault); !ok || f.Kind != FaultCFI {
+				t.Fatalf("%s thread %d: %v, want the final hlt", e, i, err)
+			}
+		}
+		return ths
+	}
+	ref := run(EngineInterp, 1)[0]
+	for _, e := range []Engine{EngineBlockJIT, engineCold} {
+		for i, th := range run(e, threads) {
+			if th.Instret != ref.Instret || th.PC != ref.PC || th.Reg[visa.R1] != ref.Reg[visa.R1] || th.Reg[visa.R4] != ref.Reg[visa.R4] {
+				t.Errorf("%s thread %d: instret=%d pc=%#x r1=%d r4=%d, interp instret=%d pc=%#x r1=%d r4=%d",
+					e, i, th.Instret, th.PC, th.Reg[visa.R1], th.Reg[visa.R4],
+					ref.Instret, ref.PC, ref.Reg[visa.R1], ref.Reg[visa.R4])
+			}
+		}
+	}
+}
+
+// TestEnginesAboveCodeRegion runs code that lives above the instruction
+// cache's range (taryCodeLimit): a loop in the code region calls a
+// function placed in the data region, which the blockjit engine fetches
+// uncached on every execution, until a store faults there. Every engine
+// must stop with the interpreter's fault, fault PC, retired count and
+// registers, and nothing above the range may be cached or compiled.
+func TestEnginesAboveCodeRegion(t *testing.T) {
+	const hi = taryCodeLimit + 4*PageSize
+	var fn []byte
+	fn = visa.Encode(fn, visa.Instr{Op: visa.ADDI, R1: visa.R1, Imm: 1})
+	fn = visa.Encode(fn, visa.Instr{Op: visa.PUSH, R1: visa.R1})
+	fn = visa.Encode(fn, visa.Instr{Op: visa.POP, R1: visa.R2})
+	fn = visa.Encode(fn, visa.Instr{Op: visa.CMPI, R1: visa.R1, Imm: 300})
+	fn = visa.Encode(fn, visa.Instr{Op: visa.JL, Imm: int64(visa.ST64.Size())})
+	faultAt := hi + int64(len(fn))
+	fn = visa.Encode(fn, visa.Instr{Op: visa.ST64, R1: visa.R1, R2: visa.R3})
+	fn = visa.Encode(fn, visa.Instr{Op: visa.RET})
+
+	a := visa.NewAsm()
+	a.Emit(visa.Instr{Op: visa.MOVI, R1: visa.R1, Imm: 0})
+	a.Emit(visa.Instr{Op: visa.MOVI, R1: visa.R3, Imm: hi})
+	a.Label("loop")
+	callNext := int64(visa.CodeBase + a.Pos() + visa.CALL.Size())
+	a.Emit(visa.Instr{Op: visa.CALL, Imm: hi - callNext})
+	a.EmitBranch(visa.JMP, "loop")
+	if err := a.Finish(); err != nil {
+		t.Fatal(err)
+	}
+
+	type outcome struct {
+		err         string
+		pc, instret int64
+		r1, r2, sp  int64
+		fills       int64
+		hiBlocks    bool
+	}
+	run := func(e Engine) outcome {
+		p := NewProcess()
+		useEngine(p, e)
+		p.SetJITThreshold(4)
+		copy(p.Mem[visa.CodeBase:], a.Code)
+		copy(p.Mem[hi:], fn)
+		p.Protect(visa.CodeBase, PageSize, visa.ProtRead|visa.ProtExec)
+		p.Protect(visa.DataBase, 1<<16, visa.ProtRead|visa.ProtWrite)
+		p.Protect(hi, PageSize, visa.ProtRead|visa.ProtExec)
+		th := p.NewThread(visa.CodeBase, visa.DataBase+1<<16)
+		err := th.Run(1 << 20)
+		f, ok := err.(*Fault)
+		if !ok || f.Kind != FaultMem || f.PC != faultAt {
+			t.Fatalf("%s: %v, want a memory fault at %#x", e, err, faultAt)
+		}
+		st := p.CheckStatsSnapshot()
+		return outcome{
+			err: err.Error(), pc: th.PC, instret: th.Instret,
+			r1: th.Reg[visa.R1], r2: th.Reg[visa.R2], sp: th.Reg[visa.SP],
+			fills: st.ICacheFills, hiBlocks: p.compiledBlockAt(hi) != nil,
+		}
+	}
+	ref := run(EngineInterp)
+	for _, e := range testEngines() {
+		if e == EngineInterp {
+			continue
+		}
+		got := run(e)
+		if got.err != ref.err || got.pc != ref.pc || got.instret != ref.instret ||
+			got.r1 != ref.r1 || got.r2 != ref.r2 || got.sp != ref.sp {
+			t.Errorf("%s: %+v, interp %+v", e, got, ref)
+		}
+		if got.hiBlocks {
+			t.Errorf("%s compiled a block above the cached range", e)
+		}
+		// Each of the 300 calls fetches the function's instructions
+		// afresh: nothing above the range stays cached.
+		if got.fills < 300*5 {
+			t.Errorf("%s: %d icache fills, want every execution above the range to fetch afresh", e, got.fills)
 		}
 	}
 }

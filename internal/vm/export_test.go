@@ -37,3 +37,14 @@ func (p *Process) compiledBlockAt(pc int64) *compiledBlock {
 	}
 	return nil
 }
+
+// CachedPages counts the pages whose instruction cache p holds.
+func CachedPages(p *Process) int {
+	n := 0
+	for i := range p.icache {
+		if p.icache[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}

@@ -52,17 +52,25 @@ const (
 )
 
 // sandbox is one guest address space and its table region, mapped
-// together outside the Go heap.
+// together outside the Go heap, with the page protections and dirty
+// marks that go with them. It is recycled whole, so a Process gets
+// these per-page arrays without allocating them.
 type sandbox struct {
 	// mapping is the whole mapping: mem, then the table region, which
 	// tables views as words.
 	mapping []byte
 	mem     []byte
 	tables  []uint32
-	// dirty marks every page that can hold non-zero bytes (see
-	// markDirty). Protect runs from guest mprotect syscalls and from
-	// the host's dlopen at once, hence the atomics.
+	// dirty marks every page that can hold non-zero bytes or a
+	// non-zero perms entry (see markDirty). Protect runs from guest
+	// mprotect syscalls and from the host's dlopen at once, hence the
+	// atomics.
 	dirty [sandboxPages]atomic.Bool
+	// perms is the owning Process's per-page protection (Process.perms
+	// views it). Only Protect with a nonzero prot sets an entry, and it
+	// marks those pages dirty, so scrub's zeroing of dirty pages leaves
+	// it all zero for the next Process.
+	perms [sandboxPages]uint32
 	// resident is scrub's scratch for the residency of a run of pages.
 	resident [sandboxPages]byte
 }
@@ -124,7 +132,7 @@ func (p *Process) MapTables() *tables.Tables {
 // it to be released once p is unreachable.
 func (p *Process) attachSandbox() {
 	sb := acquireSandbox(p)
-	p.sandbox, p.Mem = sb, sb.mem
+	p.sandbox, p.Mem, p.perms = sb, sb.mem, sb.perms[:]
 	// Cleanups share one goroutine with every other cleanup and
 	// finalizer in the program; scrubbing can take milliseconds, so it
 	// runs on its own.
@@ -182,12 +190,13 @@ func (s *sandboxPool) reachable() int {
 	return n
 }
 
-// scrub zeroes every page marked dirty and clears the marks. A marked
-// page that is not resident was never touched since its last drop (or
-// was swapped out), so dropping it zeroes it without reading it; a
-// resident one is compared first, since most marked pages were never
-// written and comparing leaves them unwritten. So the scrub costs the
-// pages the Process touched, not every page Protect opened.
+// scrub zeroes every page marked dirty and its perms entry, and clears
+// the marks. A marked page that is not resident was never touched
+// since its last drop (or was swapped out), so dropping it zeroes it
+// without reading it; a resident one is compared first, since most
+// marked pages were never written and comparing leaves them unwritten.
+// So the scrub costs the pages the Process touched, not every page
+// Protect opened.
 func (sb *sandbox) scrub() {
 	var zero [PageSize]byte
 	for first := 0; first < sandboxPages; first++ {
@@ -197,6 +206,7 @@ func (sb *sandbox) scrub() {
 		last := first
 		for ; last < sandboxPages && sb.dirty[last].Load(); last++ {
 			sb.dirty[last].Store(false)
+			atomic.StoreUint32(&sb.perms[last], 0)
 		}
 		run := sb.mem[first*PageSize : last*PageSize]
 		resident := residentPages(run, sb.resident[:last-first])

@@ -127,7 +127,8 @@ func runLeakGuest(t *testing.T, img *linker.Image, lib *module.Object) leakRun {
 
 // TestRecycledSandboxIsZero: a sandbox handed to a new Process after
 // the last one became unreachable must read zero everywhere, guard page
-// included, whatever the previous guest wrote.
+// included, and have no page accessible, whatever the previous guest
+// wrote and protected.
 func TestRecycledSandboxIsZero(t *testing.T) {
 	b := toolchain.New(toolchain.WithInstrumentation())
 	img, err := b.Build(toolchain.Source{Name: "leak", Text: leakMainSrc})
@@ -155,6 +156,15 @@ func TestRecycledSandboxIsZero(t *testing.T) {
 	}
 	if pg := firstDirtyPage(p.Mem); pg >= 0 {
 		t.Errorf("recycled sandbox page %#x is not zero: the previous guest's bytes leaked", pg*vm.PageSize)
+	}
+	// The page protections come with the sandbox too: a fresh Process
+	// must find no page accessible, or it could run or write where the
+	// previous guest could.
+	for addr := int64(0); addr < int64(len(p.Mem)); addr += vm.PageSize {
+		if prot := p.Prot(addr); prot != 0 {
+			t.Errorf("recycled sandbox page %#x has protection %d: the previous guest's permissions leaked", addr, prot)
+			break
+		}
 	}
 	runtime.KeepAlive(hold)
 }

@@ -185,7 +185,7 @@ var unfolded = visa.Instr{Op: visa.ADDI, R1: visa.R1, Imm: 1}
 func checkSlot(t *testing.T, p *Process, pc int64) visa.Instr {
 	t.Helper()
 	if c := p.icache[pc/PageSize].Load(); c != nil {
-		if s := c.slots[pc&(PageSize-1)]; s.ins.Op == opFusedCheck || s.ins.Op == opFusedCheckPLT {
+		if s := c.slotAt(pc, (pc/PageSize+1)*PageSize); s != nil && (s.ins.Op == opFusedCheck || s.ins.Op == opFusedCheckPLT) {
 			return s.ins
 		}
 	}

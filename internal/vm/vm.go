@@ -170,10 +170,12 @@ type Process struct {
 	// band. It is mapped outside the Go heap and recycled once the
 	// Process is unreachable, so no slice of it may outlive the Process.
 	Mem []byte
-	// sandbox owns Mem's mapping and its dirty-page marks.
+	// sandbox owns Mem's mapping, its dirty-page marks and perms.
 	sandbox *sandbox
 	// perms holds per-page protection bits, accessed atomically so the
-	// dynamic linker can flip page protections while threads run.
+	// dynamic linker can flip page protections while threads run. It
+	// views the sandbox's array, which a recycled sandbox hands over
+	// all zero.
 	perms []uint32
 
 	// Tables is the MCFI table region (nil for baseline builds); the
@@ -185,9 +187,10 @@ type Process struct {
 
 	// engine selects the fetch implementation (default EngineBlockJIT);
 	// icache is the per-page predecoded instruction cache it uses, and
-	// holds the compiled blocks too.
+	// holds the compiled blocks too. It covers the code region only
+	// (icachePages, 8 KiB of pointers).
 	engine Engine
-	icache []atomic.Pointer[pageCache]
+	icache [icachePages]atomic.Pointer[pageCache]
 
 	// fused holds the registered check-transaction sites (see
 	// fused.go).
@@ -232,11 +235,12 @@ type Process struct {
 	joinable map[int64]chan int64
 }
 
-// NewProcess allocates a guest address space, all zero.
+// NewProcess allocates a guest address space, all zero and with no
+// page accessible. The guest memory and its page protections come with
+// the sandbox, so it allocates nothing sized by the address space; a
+// page cache appears only when code on its page first runs.
 func NewProcess() *Process {
 	p := &Process{
-		perms:    make([]uint32, sandboxPages),
-		icache:   make([]atomic.Pointer[pageCache], sandboxPages),
 		joinable: map[int64]chan int64{},
 		cancelCh: make(chan struct{}),
 	}
@@ -251,7 +255,7 @@ func NewProcess() *Process {
 // flip, so no thread can fill a cache against bytes about to change,
 // and after it, so entries decoded from the old bytes cannot survive
 // the transition. Pages it makes accessible are marked dirty for good,
-// so the sandbox's release clears them.
+// so the sandbox's release clears them and their protection entries.
 func (p *Process) Protect(addr, size int64, prot uint32) {
 	first := addr / PageSize
 	last := (addr + size + PageSize - 1) / PageSize
