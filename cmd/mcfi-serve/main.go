@@ -7,7 +7,6 @@
 // Usage:
 //
 //	mcfi-serve -addr :8377 -workers 4 -queue 8 -store-dir /var/cache/mcfi
-//	mcfi-serve -tenant-weights alice=4,bob=1
 //
 // Endpoints (versioned under /v1/):
 //
@@ -19,23 +18,16 @@
 //	GET  /v1/metrics?format=prom  the same snapshot in Prometheus text format
 //	GET  /v1/trace/{id} one sampled job's span set (see -trace-sample)
 //	GET  /v1/audit      recent CFI-violation audit records (see -audit-log)
-//	GET  /v1/store/{k}  sealed artifact blobs (also HEAD/PUT) — store sharing
 //
-// Admission runs through a per-tenant deficit-weighted round-robin
-// scheduler: -tenant-weights sets service shares. A full queue is
-// refused with a 429 whose Retry-After is derived from the observed
-// drain rate.
+// Admission runs through a per-tenant round-robin scheduler: each
+// backlogged tenant is served one job per turn. A full queue is
+// refused with a 429 carrying Retry-After: 1.
 //
 // With -store-dir, compiled images and per-flavor libc objects persist
 // across restarts (a warm restart recompiles nothing), and the
-// directory may be shared by concurrent server processes. With
-// -store-remote, another server's /v1/store endpoint is consulted
-// before building and fresh builds are published back to it. Store
-// sharing is write-gated by -store-secret (or $MCFI_STORE_SECRET), a
-// shared secret that HMAC-binds each published blob to its key;
-// without it the store surface refuses all PUTs and nothing is
-// published to the remote store, so an exposed port cannot be used to
-// poison the cache with a hostile artifact.
+// directory may be shared by concurrent server processes. The store
+// has no HTTP endpoint: every image a job runs was compiled by this
+// process or read back from its own -store-dir.
 //
 // Observability: every job is assigned a trace ID at ingress and, when
 // sampled by -trace-sample, its admission/queue/build/run spans are
@@ -61,37 +53,11 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"mcfi/internal/server"
 )
-
-// parseWeights parses "a=4,b=2" into tenant weights.
-func parseWeights(s string) (map[string]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	out := map[string]int{}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return nil, fmt.Errorf("tenant weight %q: want name=weight", part)
-		}
-		w, err := strconv.Atoi(strings.TrimSpace(val))
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("tenant weight %q: weight must be a positive integer", part)
-		}
-		out[strings.TrimSpace(name)] = w
-	}
-	return out, nil
-}
 
 func orDash(s string) string {
 	if s == "" {
@@ -104,15 +70,10 @@ func main() {
 	addr := flag.String("addr", ":8377", "listen address")
 	workers := flag.Int("workers", 0, "execution pool width (0 = default 4)")
 	queueDepth := flag.Int("queue", 0, "admission queue depth across all tenants (0 = 2x workers)")
-	tenantWeights := flag.String("tenant-weights", "", "per-tenant DWRR weights, e.g. alice=4,bob=1 (unlisted tenants weigh 1)")
 	maxInstr := flag.Int64("max-instr", 0, "default per-job instruction budget (0 = 2e9)")
 	timeout := flag.Duration("timeout", 0, "default per-job wall-clock limit (0 = 60s)")
 	cacheEntries := flag.Int("cache-entries", 0, "in-memory store tier capacity in images (0 = 256)")
 	storeDir := flag.String("store-dir", "", "persistent build-store directory (empty = in-memory only)")
-	storeRemote := flag.String("store-remote", "", "base URL of a remote build store to fetch from and publish to")
-	storeSecret := flag.String("store-secret", os.Getenv("MCFI_STORE_SECRET"),
-		"shared secret authenticating /v1/store writes (empty = store surface is read-only; default $MCFI_STORE_SECRET)")
-	buildJobs := flag.Int("build-jobs", 0, "compile concurrency per build (0 = 1)")
 	traceSample := flag.Float64("trace-sample", 1.0, "fraction of jobs traced end to end (0 disables tracing)")
 	traceBuffer := flag.Int("trace-buffer", 0, "traces retained in memory (0 = 1024)")
 	auditLog := flag.String("audit-log", "", "append every CFI-violation audit record as NDJSON to this file")
@@ -123,11 +84,6 @@ func main() {
 
 	log.SetPrefix("mcfi-serve: ")
 	log.SetFlags(log.LstdFlags)
-
-	weights, err := parseWeights(*tenantWeights)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	// Config treats 0 as "default on" — the flag's 0 means "off".
 	sample := *traceSample
@@ -147,14 +103,10 @@ func main() {
 	s, err := server.New(server.Config{
 		Workers:         *workers,
 		QueueDepth:      *queueDepth,
-		TenantWeights:   weights,
 		CacheEntries:    *cacheEntries,
 		StoreDir:        *storeDir,
-		RemoteStore:     *storeRemote,
-		StoreSecret:     *storeSecret,
 		DefaultMaxInstr: *maxInstr,
 		DefaultTimeout:  *timeout,
-		BuildJobs:       *buildJobs,
 		TraceSample:     sample,
 		TraceBuffer:     *traceBuffer,
 		AuditBuffer:     *auditBuffer,

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -160,7 +161,7 @@ func (d *Disk) GetBlob(key string) ([]byte, error) {
 	if !ValidKey(key) {
 		return nil, errBadKey
 	}
-	env, err := os.ReadFile(d.blobPath(key))
+	env, err := readBounded(d.blobPath(key))
 	if err != nil {
 		if os.IsNotExist(err) {
 			d.misses.Add(1)
@@ -170,8 +171,8 @@ func (d *Disk) GetBlob(key string) ([]byte, error) {
 	}
 	payload, err := Open(env)
 	if err != nil {
-		// Truncated or bit-flipped at rest: quarantine so the next
-		// lookup rebuilds, and never hand corrupt bytes to a decoder.
+		// Oversized, truncated or bit-flipped at rest: quarantine so the
+		// next lookup rebuilds, and never hand corrupt bytes to a decoder.
 		d.misses.Add(1)
 		d.quarantine(key)
 		return nil, ErrNotFound
@@ -179,6 +180,29 @@ func (d *Disk) GetBlob(key string) ([]byte, error) {
 	d.hits.Add(1)
 	d.noteEntry(key, int64(len(payload)), false)
 	return payload, nil
+}
+
+// readBounded reads a blob file, or returns nil (which Open refuses)
+// without reading it when it is larger than any blob PutBlob writes.
+func readBounded(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if fi.Size() > maxBlobBytes+blobHdrLen {
+		return nil, nil
+	}
+	env := make([]byte, fi.Size())
+	n, err := io.ReadFull(f, env)
+	if err == io.ErrUnexpectedEOF {
+		err = nil // shrank since Stat: Open reports the truncation
+	}
+	return env[:n], err
 }
 
 // quarantine removes a bad entry — corrupt envelope or undecodable
@@ -200,6 +224,9 @@ func (d *Disk) quarantine(key string) {
 func (d *Disk) PutBlob(key string, payload []byte) error {
 	if !ValidKey(key) {
 		return errBadKey
+	}
+	if len(payload) > maxBlobBytes {
+		return fmt.Errorf("buildstore: %d-byte payload exceeds the %d-byte bound", len(payload), maxBlobBytes)
 	}
 	d.puts.Add(1)
 	path := d.blobPath(key)
@@ -233,9 +260,9 @@ func (d *Disk) PutBlob(key string, payload []byte) error {
 	return nil
 }
 
-// HasBlob reports whether key is present (index first, then the
+// Has reports whether key is present (index first, then the
 // filesystem, so cross-process publishes are visible).
-func (d *Disk) HasBlob(key string) bool {
+func (d *Disk) Has(key string) bool {
 	if !ValidKey(key) {
 		return false
 	}
@@ -291,9 +318,6 @@ func (d *Disk) Put(key string, img *linker.Image) error {
 	}
 	return d.PutBlob(key, payload)
 }
-
-// Has reports presence.
-func (d *Disk) Has(key string) bool { return d.HasBlob(key) }
 
 // Stats snapshots the tier.
 func (d *Disk) Stats() Stats {

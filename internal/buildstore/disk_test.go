@@ -101,6 +101,35 @@ func TestDiskCorruptionQuarantined(t *testing.T) {
 	}
 }
 
+// TestDiskOversizedBlobQuarantined: a blob file larger than any blob
+// PutBlob writes is refused without being read and quarantined, and
+// PutBlob refuses an oversized payload.
+func TestDiskOversizedBlobQuarantined(t *testing.T) {
+	d := openTestDisk(t, t.TempDir())
+	k := testKey("oversized")
+	if err := d.Put(k, testImage(3)); err != nil {
+		t.Fatal(err)
+	}
+	path := d.blobPath(k)
+	// Sparse: the file has the size without taking the disk space.
+	if err := os.Truncate(path, maxBlobBytes+blobHdrLen+1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.GetBlob(k); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("oversized entry: %v, want ErrNotFound", err)
+	}
+	if st := d.Stats(); st.Corrupt != 1 {
+		t.Errorf("corrupt counter = %d, want 1", st.Corrupt)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Error("oversized blob not quarantined from disk")
+	}
+	// Never touched, so the OS backs it with no memory.
+	if err := d.PutBlob(k, make([]byte, maxBlobBytes+1)); err == nil {
+		t.Error("PutBlob accepted a payload over the bound")
+	}
+}
+
 // TestDiskUndecodableQuarantineCleansIndex: an entry whose envelope
 // verifies but whose payload does not decode (e.g. a format-version
 // rollover) is quarantined completely — Has stops advertising it and

@@ -1,28 +1,25 @@
-// Package buildstore is the persistent, shareable, content-addressed
-// store for compiled MCFI artifacts. MCFI compiles and instruments
-// modules separately and composes them at link/update time (paper §4,
-// §6), which makes a compiled artifact a natural content-addressed
-// object: its key is toolchain.Builder.Fingerprint — a SHA-256 over
-// the build flavor and every source — and the build pipeline is
-// deterministic, so equal keys mean interchangeable artifacts.
+// Package buildstore is the persistent, content-addressed store for
+// compiled MCFI artifacts. MCFI compiles and instruments modules
+// separately and composes them at link/update time (paper §4, §6),
+// which makes a compiled artifact a natural content-addressed object:
+// its key is toolchain.Builder.Fingerprint — a SHA-256 over the build
+// flavor and every source — and the build pipeline is deterministic,
+// so equal keys mean interchangeable artifacts.
 //
-// Three tiers implement one Store interface and compose behind a
-// Tiered front end, checked in order:
+// Two tiers compose behind a Tiered front end, checked in order:
 //
-//	mem    — in-process LRU of decoded images (the old server
-//	         BuildCache, minus singleflight, which moved to Tiered)
-//	disk   — on-disk CAS: sealed blobs + an index journal, published
-//	         by atomic rename, hash-verified on every read
-//	remote — another replica's (or a shared cache's) /v1/store HTTP
-//	         endpoint
+//	mem  — in-process LRU of decoded images (the old server
+//	       BuildCache, minus singleflight, which moved to Tiered)
+//	disk — on-disk CAS: sealed blobs + an index journal, published
+//	       by atomic rename, hash-verified on every read
 //
-// A hit at a lower tier is backfilled into the tiers above it, so a
-// mcfi-serve restart against a warm disk store (or a cold replica next
-// to a warm one) serves its first jobs without recompiling anything.
+// A disk hit is backfilled into mem, so a mcfi-serve restart against a
+// warm disk store serves its first jobs without recompiling anything.
+// Every artifact comes from this process's own compiler or from its own
+// disk tier; the store takes no bytes from another machine.
 package buildstore
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -39,28 +36,16 @@ type Tier string
 // Tiers, cheapest first; TierBuilt means no tier had it and the
 // artifact was compiled from source.
 const (
-	TierMem    Tier = "mem"
-	TierDisk   Tier = "disk"
-	TierRemote Tier = "remote"
-	TierBuilt  Tier = "built"
+	TierMem   Tier = "mem"
+	TierDisk  Tier = "disk"
+	TierBuilt Tier = "built"
 )
 
-// ErrNotFound reports a key absent from a store.
+// ErrNotFound reports a key absent from a store. The disk tier also
+// returns it (after quarantining the entry) when stored bytes fail hash
+// re-verification, so corruption surfaces as a rebuild, never as
+// executing a torn image.
 var ErrNotFound = errors.New("buildstore: not found")
-
-// Store is one build-store tier: a content-addressed map from build
-// fingerprints to linked images. Implementations must be safe for
-// concurrent use. Get returns ErrNotFound for absent keys; a
-// persistent store also returns ErrNotFound (after quarantining the
-// entry) when stored bytes fail hash re-verification, so corruption
-// surfaces as a rebuild, never as executing a torn image.
-type Store interface {
-	Get(key string) (*linker.Image, error)
-	Put(key string, img *linker.Image) error
-	Has(key string) bool
-	Stats() Stats
-	Close() error
-}
 
 // Stats is a point-in-time view of one tier.
 type Stats struct {
@@ -70,23 +55,12 @@ type Stats struct {
 	Hits    int64  `json:"hits"`
 	Misses  int64  `json:"misses"`
 	Puts    int64  `json:"puts"`
-	// Corrupt counts entries that failed hash re-verification on read
-	// and were quarantined (disk) or refused (remote).
+	// Corrupt counts disk entries that failed hash re-verification on
+	// read and were quarantined.
 	Corrupt int64 `json:"corrupt,omitempty"`
 }
 
-// BlobStore is the raw-bytes plane of a persistent tier. Images are
-// one artifact kind; compiled libc objects (per-flavor, pre-link) ride
-// the same CAS as opaque blobs, and the /v1/store HTTP protocol moves
-// sealed blobs without caring what is inside. Payloads returned by
-// GetBlob are already integrity-verified.
-type BlobStore interface {
-	GetBlob(key string) ([]byte, error)
-	PutBlob(key string, payload []byte) error
-	HasBlob(key string) bool
-}
-
-// Blob envelope: every payload at rest or on the wire is sealed as
+// Blob envelope: every payload at rest is sealed as
 //
 //	magic   "MCFS"    4 bytes
 //	version u32       currently 1
@@ -95,14 +69,19 @@ type BlobStore interface {
 //	payload
 //
 // Open re-verifies the hash, so truncation and bit flips anywhere in a
-// stored or fetched entry are detected before anything decodes — a
-// corrupt image is rebuilt rather than executed.
+// stored entry are detected before anything decodes — a corrupt image
+// is rebuilt rather than executed.
 
 const (
 	blobMagic   = "MCFS"
 	blobVersion = 1
 	blobHdrLen  = 4 + 4 + sha256.Size + 8
 )
+
+// maxBlobBytes bounds a stored payload (64 MiB — far above any linked
+// image or libc object), so a read never allocates for an oversized
+// file it would refuse anyway.
+const maxBlobBytes = 64 << 20
 
 // Seal wraps a payload in the integrity envelope.
 func Seal(payload []byte) []byte {
@@ -138,8 +117,7 @@ func Open(envelope []byte) ([]byte, error) {
 
 // ValidKey reports whether key is a well-formed content address (a
 // lowercase hex SHA-256). Stores reject anything else: keys become
-// file names and URL path segments, so this is also the traversal
-// guard.
+// file names, so this is also the traversal guard.
 func ValidKey(key string) bool {
 	if len(key) != 2*sha256.Size {
 		return false
@@ -154,27 +132,6 @@ func ValidKey(key string) bool {
 }
 
 var errBadKey = errors.New("buildstore: malformed key (want lowercase hex sha-256)")
-
-// blobMAC authenticates a (key, payload) pair for the /v1/store wire
-// protocol: HMAC-SHA256 over key || payload under a shared cluster
-// secret. The envelope's self-embedded SHA-256 only proves integrity —
-// anyone can seal arbitrary bytes — and the store key is a fingerprint
-// of *sources*, not derivable from the artifact, so without this MAC a
-// writer could publish a well-formed hostile image under a victim's
-// key. The MAC binds both: only a secret holder can vouch that this
-// payload is the artifact for this key.
-func blobMAC(secret, key string, payload []byte) string {
-	m := hmac.New(sha256.New, []byte(secret))
-	m.Write([]byte(key))
-	m.Write(payload)
-	return hex.EncodeToString(m.Sum(nil))
-}
-
-// macEqual compares MACs in constant time.
-func macEqual(a, b string) bool { return hmac.Equal([]byte(a), []byte(b)) }
-
-// macHeader carries the blobMAC on /v1/store requests and responses.
-const macHeader = "X-Mcfi-Store-Mac"
 
 // HashKey returns the content address of raw key material — a helper
 // for callers that key artifacts by something other than a builder

@@ -21,18 +21,16 @@ type BuildTrace struct {
 // failures remembered so a bad source is not recompiled per request).
 const DefaultFailedEntries = 256
 
-// Tiered composes tiers (checked in order, cheapest first) behind one
-// front end and owns the cross-cutting policies that no single tier
-// should: build coalescing (concurrent requests for one key share one
-// build), negative caching (the pipeline is deterministic, so a source
-// that failed once fails the same way forever), backfill (a hit at a
-// lower tier is copied into the tiers above it), and write-through
-// (a fresh build is published to every tier, best-effort — a full disk
-// or down peer never fails the request).
+// Tiered puts an optional disk tier behind the mem tier and owns the
+// cross-cutting policies that neither tier should: build coalescing
+// (concurrent requests for one key share one build), negative caching
+// (the pipeline is deterministic, so a source that failed once fails
+// the same way forever), backfill (a disk hit is copied into mem), and
+// write-through (a fresh build is published to both tiers, best-effort —
+// a full disk never fails the request).
 type Tiered struct {
-	tiers  []Store
-	labels []Tier      // labels[i] names tiers[i] (from its Stats)
-	blobs  []BlobStore // persistent subset of tiers, same order
+	mem  *Mem
+	disk *Disk // nil: no persistent tier
 
 	mu       sync.Mutex
 	inflight map[string]*flight
@@ -40,13 +38,13 @@ type Tiered struct {
 	failOrd  []string // FIFO bound on failed
 	failMax  int
 
-	hits, misses atomic.Int64
-	builds       atomic.Int64
-	objectBuilds atomic.Int64
-	failedBuilds atomic.Int64
-	tierHits     map[Tier]*atomic.Int64
-	closeOnce    sync.Once
-	closeErr     error
+	hits, misses      atomic.Int64
+	memHits, diskHits atomic.Int64
+	builds            atomic.Int64
+	objectBuilds      atomic.Int64
+	failedBuilds      atomic.Int64
+	closeOnce         sync.Once
+	closeErr          error
 }
 
 type flight struct {
@@ -55,56 +53,43 @@ type flight struct {
 	err  error
 }
 
-// NewTiered composes the given tiers, checked in argument order. Tiers
-// that also implement BlobStore (disk, remote) serve the object-blob
-// plane for libc artifacts.
-func NewTiered(tiers ...Store) *Tiered {
-	t := &Tiered{
-		tiers:    tiers,
+// NewTiered fronts mem with disk, which may be nil. The disk tier also
+// serves the object-blob plane for libc artifacts.
+func NewTiered(mem *Mem, disk *Disk) *Tiered {
+	return &Tiered{
+		mem:      mem,
+		disk:     disk,
 		inflight: map[string]*flight{},
 		failed:   map[string]error{},
 		failMax:  DefaultFailedEntries,
-		tierHits: map[Tier]*atomic.Int64{},
 	}
-	for _, s := range tiers {
-		label := Tier(s.Stats().Tier)
-		t.labels = append(t.labels, label)
-		if _, ok := t.tierHits[label]; !ok {
-			t.tierHits[label] = new(atomic.Int64)
-		}
-		if bs, ok := s.(BlobStore); ok {
-			t.blobs = append(t.blobs, bs)
-		}
-	}
-	for _, l := range []Tier{TierMem, TierDisk, TierRemote} {
-		if _, ok := t.tierHits[l]; !ok {
-			t.tierHits[l] = new(atomic.Int64)
-		}
-	}
-	return t
 }
 
 func (t *Tiered) countHit(tier Tier) {
 	t.hits.Add(1)
-	if c, ok := t.tierHits[tier]; ok {
-		c.Add(1)
+	if tier == TierDisk {
+		t.diskHits.Add(1)
+	} else {
+		t.memHits.Add(1)
 	}
 }
 
-// probe checks the tiers in order; on a hit the image is backfilled
-// into every tier above the one that had it.
+// probe checks mem, then disk; a disk hit is backfilled into mem.
+// A disk error (ErrNotFound, quarantined corruption, or an I/O fault)
+// is a miss.
 func (t *Tiered) probe(key string) (*linker.Image, Tier, bool) {
-	for i, s := range t.tiers {
-		img, err := s.Get(key)
-		if err != nil {
-			continue // ErrNotFound, quarantined corruption, or a tier fault
-		}
-		for j := i - 1; j >= 0; j-- {
-			t.tiers[j].Put(key, img)
-		}
-		return img, t.labels[i], true
+	if img, err := t.mem.Get(key); err == nil {
+		return img, TierMem, true
 	}
-	return nil, "", false
+	if t.disk == nil {
+		return nil, "", false
+	}
+	img, err := t.disk.Get(key)
+	if err != nil {
+		return nil, "", false
+	}
+	t.mem.Put(key, img)
+	return img, TierDisk, true
 }
 
 // GetOrBuild returns the image for key, consulting each tier in order
@@ -165,8 +150,9 @@ func (t *Tiered) GetOrBuildTraced(key string, build func() (*linker.Image, error
 		t.settle(key, f, nil, err)
 		return nil, TierBuilt, bt, err
 	}
-	for _, s := range t.tiers {
-		s.Put(key, img) // best-effort write-through
+	t.mem.Put(key, img) // best-effort write-through
+	if t.disk != nil {
+		t.disk.Put(key, img)
 	}
 	t.settle(key, f, img, nil)
 	return img, TierBuilt, bt, nil
@@ -196,35 +182,25 @@ func (t *Tiered) noteFailed(key string, err error) {
 	t.failed[key] = err
 }
 
-// BlobTiers reports how many composed tiers carry the raw-blob plane
-// (disk, remote). Zero means GetOrBuildObject can never hit and
-// callers may skip the store for object artifacts entirely.
-func (t *Tiered) BlobTiers() int { return len(t.blobs) }
+// HasDisk reports whether a disk tier carries the raw-blob plane.
+// Without one GetOrBuildObject can never hit, and callers may skip the
+// store for object artifacts entirely.
+func (t *Tiered) HasDisk() bool { return t.disk != nil }
 
 // GetOrBuildObject is GetOrBuild's raw-blob sibling, used for compiled
-// libc objects: it consults the persistent (blob-capable) tiers only —
-// in-process memoization of decoded objects is the toolchain
-// LibcCache's job — and publishes a fresh build to all of them.
-// ObjectBuilds counts the total-miss path; a warm store keeps it at
-// zero across restarts.
+// libc objects: it consults the disk tier only — in-process memoization
+// of decoded objects is the toolchain LibcCache's job — and publishes a
+// fresh build to it. ObjectBuilds counts the total-miss path; a warm
+// store keeps it at zero across restarts.
 func (t *Tiered) GetOrBuildObject(key string, build func() ([]byte, error)) ([]byte, Tier, error) {
 	if !ValidKey(key) {
 		return nil, "", errBadKey
 	}
-	for i, bs := range t.blobs {
-		payload, err := bs.GetBlob(key)
-		if err != nil {
-			continue
+	if t.disk != nil {
+		if payload, err := t.disk.GetBlob(key); err == nil {
+			t.countHit(TierDisk)
+			return payload, TierDisk, nil
 		}
-		for j := i - 1; j >= 0; j-- {
-			t.blobs[j].PutBlob(key, payload)
-		}
-		tier := TierDisk
-		if _, isRemote := bs.(*Remote); isRemote {
-			tier = TierRemote
-		}
-		t.countHit(tier)
-		return payload, tier, nil
 	}
 	t.misses.Add(1)
 	t.objectBuilds.Add(1)
@@ -232,8 +208,8 @@ func (t *Tiered) GetOrBuildObject(key string, build func() ([]byte, error)) ([]b
 	if err != nil {
 		return nil, TierBuilt, err
 	}
-	for _, bs := range t.blobs {
-		bs.PutBlob(key, payload) // best-effort
+	if t.disk != nil {
+		t.disk.PutBlob(key, payload) // best-effort
 	}
 	return payload, TierBuilt, nil
 }
@@ -259,85 +235,28 @@ func (t *Tiered) Metrics() Metrics {
 		Builds:       t.builds.Load(),
 		ObjectBuilds: t.objectBuilds.Load(),
 		FailedBuilds: t.failedBuilds.Load(),
-		TierHits:     map[string]int64{},
+		TierHits: map[string]int64{
+			string(TierMem):  t.memHits.Load(),
+			string(TierDisk): t.diskHits.Load(),
+		},
+		Tiers: []Stats{t.mem.Stats()},
 	}
 	if total := m.Hits + m.Misses; total > 0 {
 		m.HitRate = float64(m.Hits) / float64(total)
 	}
-	for tier, c := range t.tierHits {
-		m.TierHits[string(tier)] = c.Load()
-	}
-	for _, s := range t.tiers {
-		m.Tiers = append(m.Tiers, s.Stats())
+	if t.disk != nil {
+		m.Tiers = append(m.Tiers, t.disk.Stats())
 	}
 	return m
 }
 
-// Get probes the tiers (with backfill) without building.
-func (t *Tiered) Get(key string) (*linker.Image, error) {
-	if !ValidKey(key) {
-		return nil, errBadKey
-	}
-	if img, tier, ok := t.probe(key); ok {
-		t.countHit(tier)
-		return img, nil
-	}
-	t.misses.Add(1)
-	return nil, ErrNotFound
-}
-
-// Put writes through to every tier.
-func (t *Tiered) Put(key string, img *linker.Image) error {
-	if !ValidKey(key) {
-		return errBadKey
-	}
-	var firstErr error
-	for _, s := range t.tiers {
-		if err := s.Put(key, img); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// Has reports whether any tier holds key.
-func (t *Tiered) Has(key string) bool {
-	for _, s := range t.tiers {
-		if s.Has(key) {
-			return true
-		}
-	}
-	return false
-}
-
-// Stats aggregates the composite as one Store (per-tier detail is in
-// Metrics). Entries/Bytes report the first tier, which bounds what is
-// servable without I/O.
-func (t *Tiered) Stats() Stats {
-	s := Stats{
-		Tier: "tiered",
-		Hits: t.hits.Load(), Misses: t.misses.Load(),
-	}
-	if len(t.tiers) > 0 {
-		first := t.tiers[0].Stats()
-		s.Entries, s.Bytes = first.Entries, first.Bytes
-	}
-	for _, tier := range t.tiers {
-		st := tier.Stats()
-		s.Puts += st.Puts
-		s.Corrupt += st.Corrupt
-	}
-	return s
-}
-
-// Close closes every tier once; subsequent calls return the first
+// Close closes both tiers once; subsequent calls return the first
 // result.
 func (t *Tiered) Close() error {
 	t.closeOnce.Do(func() {
-		for _, s := range t.tiers {
-			if err := s.Close(); err != nil && t.closeErr == nil {
-				t.closeErr = err
-			}
+		t.mem.Close()
+		if t.disk != nil {
+			t.closeErr = t.disk.Close()
 		}
 	})
 	return t.closeErr

@@ -12,7 +12,7 @@ import (
 )
 
 func TestTieredSingleflightCoalescesBuilds(t *testing.T) {
-	ts := NewTiered(NewMem(0))
+	ts := NewTiered(NewMem(0), nil)
 	k := testKey("coalesce")
 	var builds atomic.Int64
 	release := make(chan struct{})
@@ -74,7 +74,7 @@ func TestTieredSingleflightCoalescesBuilds(t *testing.T) {
 }
 
 func TestTieredNegativeCaching(t *testing.T) {
-	ts := NewTiered(NewMem(0))
+	ts := NewTiered(NewMem(0), nil)
 	k := testKey("bad-source")
 	boom := errors.New("syntax error")
 	calls := 0
@@ -96,7 +96,7 @@ func TestTieredNegativeCaching(t *testing.T) {
 }
 
 func TestTieredNegativeCacheBounded(t *testing.T) {
-	ts := NewTiered(NewMem(0))
+	ts := NewTiered(NewMem(0), nil)
 	ts.failMax = 4
 	for i := 0; i < 10; i++ {
 		ts.GetOrBuild(testKey(fmt.Sprintf("bad-%d", i)), func() (*linker.Image, error) {

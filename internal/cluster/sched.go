@@ -1,13 +1,11 @@
 // Package cluster is the admission layer of the MCFI execution
-// service: a deficit-weighted round-robin tenant scheduler (sched.go)
-// and the drain-rate meter that prices a refused client's Retry-After
-// (latency.go). The package is deliberately free of HTTP and server
-// types: internal/server wires it to the wire.
+// service: a per-tenant round-robin scheduler behind one bounded
+// queue. The package is deliberately free of HTTP and server types:
+// internal/server wires it to the wire.
 package cluster
 
 import (
 	"errors"
-	"maps"
 	"sort"
 	"sync"
 )
@@ -25,18 +23,11 @@ type SchedConfig struct {
 	// TotalQueue bounds queued jobs across all tenants, beyond those
 	// in hand-off to already-parked consumers (default 64).
 	TotalQueue int
-	// Weights sets per-tenant DWRR service shares: a weight-5 tenant
-	// drains up to 5 jobs per scheduling round for every 1 a weight-1
-	// tenant gets. Unlisted tenants, and weights below 1, weigh 1, so
-	// no backlogged tenant starves.
-	Weights map[string]int
 }
 
 type schedTenant[T any] struct {
 	name   string
-	weight int
 	fifo   []T
-	credit int // remaining service this round
 	active bool
 
 	running int
@@ -48,7 +39,6 @@ type schedTenant[T any] struct {
 // /metrics by internal/server).
 type TenantStats struct {
 	Tenant    string `json:"tenant"`
-	Weight    int    `json:"weight"`
 	Queued    int    `json:"queued"`
 	Running   int    `json:"running"`
 	Submitted int64  `json:"submitted"`
@@ -63,12 +53,11 @@ type TenantStats struct {
 	QueueP99Ms float64 `json:"queue_p99_ms"`
 }
 
-// Sched is a deficit-weighted round-robin scheduler over per-tenant
-// FIFO queues. Producers Submit under a tenant name; consumers Next
-// one item at a time. Tenants with backlog are served in a round-robin
-// of bursts sized by their weight, so service ratios converge to the
-// weight ratios while every backlogged tenant gets at least one job
-// per round — weighted fairness without starvation.
+// Sched is a round-robin scheduler over per-tenant FIFO queues.
+// Producers Submit under a tenant name; consumers Next one item at a
+// time. Backlogged tenants take turns, one job each, so a hot tenant's
+// backlog puts at most one of its jobs ahead of another tenant's next
+// job and never starves it.
 //
 // Admission enforces the global TotalQueue bound. After Close, Submit
 // fails with ErrClosed while Next keeps draining what was already
@@ -93,7 +82,6 @@ func NewSched[T any](cfg SchedConfig) *Sched[T] {
 	if cfg.TotalQueue <= 0 {
 		cfg.TotalQueue = 64
 	}
-	cfg.Weights = maps.Clone(cfg.Weights)
 	return &Sched[T]{
 		cfg:      cfg,
 		tenants:  make(map[string]*schedTenant[T]),
@@ -105,7 +93,7 @@ func NewSched[T any](cfg SchedConfig) *Sched[T] {
 func (s *Sched[T]) tenant(name string) *schedTenant[T] {
 	t, ok := s.tenants[name]
 	if !ok {
-		t = &schedTenant[T]{name: name, weight: max(s.cfg.Weights[name], 1)}
+		t = &schedTenant[T]{name: name}
 		s.tenants[name] = t
 	}
 	return t
@@ -145,7 +133,6 @@ func (s *Sched[T]) Submit(tenant string, v T) error {
 	s.queued++
 	if !t.active {
 		t.active = true
-		t.credit = t.weight
 		s.active = append(s.active, t)
 	}
 	s.mu.Unlock()
@@ -160,8 +147,8 @@ func (s *Sched[T]) signal() {
 	}
 }
 
-// pop dequeues the next job under the DWRR policy. Called with s.mu
-// held.
+// pop dequeues the next job: the head of the tenant whose turn it is.
+// Called with s.mu held.
 func (s *Sched[T]) pop() (T, bool) {
 	var zero T
 	if len(s.active) == 0 {
@@ -171,23 +158,18 @@ func (s *Sched[T]) pop() (T, bool) {
 		s.idx = 0
 	}
 	t := s.active[s.idx]
-	if t.credit <= 0 {
-		t.credit = t.weight // new round for this tenant
-	}
 	v := t.fifo[0]
 	t.fifo = t.fifo[1:]
-	t.credit--
 	t.dequeued++
 	t.running++
 	s.queued--
 	if len(t.fifo) == 0 {
-		// Tenant drained: leave the round. (Deficit resets — an idle
-		// tenant does not bank service.)
+		// Tenant drained: leave the rotation, which puts the next
+		// tenant at s.idx.
 		t.active = false
-		t.credit = 0
 		s.active = append(s.active[:s.idx], s.active[s.idx+1:]...)
-	} else if t.credit == 0 {
-		s.idx++ // burst spent: next tenant's turn
+	} else {
+		s.idx++
 	}
 	return v, true
 }
@@ -268,7 +250,6 @@ func (s *Sched[T]) Stats() []TenantStats {
 	for _, t := range s.tenants {
 		out = append(out, TenantStats{
 			Tenant:    t.name,
-			Weight:    t.weight,
 			Queued:    len(t.fifo),
 			Running:   t.running,
 			Submitted: t.submitted,

@@ -9,56 +9,52 @@ import (
 	"time"
 )
 
-// TestDWRRWeightedShares: with every tenant backlogged, service counts
-// over a long window converge to the weight ratios.
-func TestDWRRWeightedShares(t *testing.T) {
-	s := NewSched[string](SchedConfig{
-		TotalQueue: 4096,
-		Weights:    map[string]int{"a": 4, "b": 2, "c": 1},
-	})
-	for i := 0; i < 400; i++ {
-		for _, tn := range []string{"a", "b", "c"} {
+// TestRoundRobinRotation: with three tenants backlogged, service
+// strictly rotates a, b, c, a, b, c, ... until the queues drain.
+func TestRoundRobinRotation(t *testing.T) {
+	s := NewSched[string](SchedConfig{TotalQueue: 4096})
+	tenants := []string{"a", "b", "c"}
+	for i := 0; i < 100; i++ {
+		for _, tn := range tenants {
 			if err := s.Submit(tn, tn); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	served := map[string]int{}
-	for i := 0; i < 700; i++ { // 100 full rounds of 4+2+1
+	for i := 0; i < 300; i++ {
 		v, ok := s.Next()
 		if !ok {
 			t.Fatal("scheduler empty early")
 		}
-		served[v]++
 		s.Done(v)
+		if want := tenants[i%3]; v != want {
+			t.Fatalf("pop %d served %q, want %q (strict rotation)", i, v, want)
+		}
 	}
-	if served["a"] != 400 || served["b"] != 200 || served["c"] != 100 {
-		t.Errorf("served = %v, want 400/200/100 (weights 4:2:1)", served)
+	if q := s.Queued(); q != 0 {
+		t.Errorf("queued = %d after 300 pops, want 0", q)
 	}
 }
 
-// TestDWRRNoStarvation: a weight-1 tenant behind a weight-100 firehose
-// is still served at least once per round.
+// TestDWRRNoStarvation: a tenant behind another tenant's 1,000 queued
+// jobs is served within one rotation, i.e. within 2 pops.
 func TestDWRRNoStarvation(t *testing.T) {
-	s := NewSched[string](SchedConfig{
-		TotalQueue: 4096,
-		Weights:    map[string]int{"big": 100},
-	})
+	s := NewSched[string](SchedConfig{TotalQueue: 4096})
 	for i := 0; i < 1000; i++ {
 		s.Submit("big", "big")
 	}
 	s.Submit("small", "small")
-	for i := 0; i < 102; i++ {
+	for i := 0; i < 2; i++ {
 		v, ok := s.Next()
 		if !ok {
 			t.Fatal("empty early")
 		}
 		s.Done(v)
 		if v == "small" {
-			return // served within one full round
+			return // served within one rotation
 		}
 	}
-	t.Error("weight-1 tenant starved for a full round behind weight-100")
+	t.Error("tenant starved for a full rotation behind a 1,000-job backlog")
 }
 
 // TestSubmitVsCloseRace is the scheduler-level half of the
@@ -72,10 +68,7 @@ func TestSubmitVsCloseRace(t *testing.T) {
 		perSubmitter = 20
 		tenants      = 4
 	)
-	s := NewSched[int](SchedConfig{
-		TotalQueue: submitters * perSubmitter,
-		Weights:    map[string]int{"t0": 4, "t1": 3, "t2": 2},
-	})
+	s := NewSched[int](SchedConfig{TotalQueue: submitters * perSubmitter})
 
 	var admitted, refused atomic.Int64
 	var dequeued atomic.Int64

@@ -26,8 +26,8 @@ type BenchRecord struct {
 	Instret      int64   `json:"instret,omitempty"`
 	MinstrPerSec float64 `json:"minstr_per_sec,omitempty"`
 	// Build-store provenance for the experiment, present only when
-	// mcfi-bench ran with -store: per-tier hit counts ("mem", "disk",
-	// "remote") and fresh compiles, as deltas over this record's run.
+	// mcfi-bench ran with -store: per-tier hit counts ("mem", "disk")
+	// and fresh compiles, as deltas over this record's run.
 	StoreHits   map[string]int64 `json:"store_hits,omitempty"`
 	StoreBuilds int64            `json:"store_builds,omitempty"`
 }

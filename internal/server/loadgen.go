@@ -102,7 +102,7 @@ type LoadReport struct {
 
 	CacheHitRate float64 `json:"cache_hit_rate"`
 	// StoreTiers counts completed jobs by where their image came from
-	// ("mem", "disk", "remote", "built") as reported per response.
+	// ("mem", "disk", "built") as reported per response.
 	StoreTiers map[string]int64 `json:"store_tiers"`
 	Rejected   int64            `json:"rejected_429"`
 	Statuses   map[string]int64 `json:"statuses"`
@@ -537,9 +537,9 @@ func (r *LoadReport) Summary() string {
 		r.Requests, r.Concurrency, len(r.Workloads), r.WallSecs)
 	fmt.Fprintf(&b, "  throughput: %.2f jobs/s, %.2f Minstr/s end-to-end, %.2f Minstr/s exec\n",
 		r.JobsPerSec, r.MinstrPerSecWall, r.MinstrPerSecExec)
-	fmt.Fprintf(&b, "  build store: %.0f%% hit rate (mem=%d disk=%d remote=%d built=%d); backpressure: %d rejections retried\n",
+	fmt.Fprintf(&b, "  build store: %.0f%% hit rate (mem=%d disk=%d built=%d); backpressure: %d rejections retried\n",
 		100*r.CacheHitRate, r.StoreTiers["mem"], r.StoreTiers["disk"],
-		r.StoreTiers["remote"], r.StoreTiers["built"], r.Rejected)
+		r.StoreTiers["built"], r.Rejected)
 	var keys []string
 	for k := range r.Statuses {
 		keys = append(keys, k)

@@ -1,16 +1,15 @@
 // Package server is the MCFI execution service: a long-running,
 // multi-tenant front end over the toolchain + runtime + VM stack.
 // Jobs (a named workload or raw MiniC source) are compiled through a
-// content-addressed build store (mem, disk and remote tiers), then
-// executed each in its own sandboxed vm.Process on a fixed worker pool
-// with per-job instruction budgets and wall-clock timeouts.
+// content-addressed build store (mem and disk tiers), then executed
+// each in its own sandboxed vm.Process on a fixed worker pool with
+// per-job instruction budgets and wall-clock timeouts.
 //
-// Admission runs through a per-tenant deficit-weighted round-robin
-// scheduler (internal/cluster): each backlogged tenant gets a service
-// share proportional to its weight, so one hot tenant cannot starve
-// the rest. Overflow of the shared queue is refused immediately (HTTP
-// 429 with a Retry-After derived from the observed drain rate), and
-// shutdown is a graceful drain: stop admitting, finish or cancel
+// Admission runs through a per-tenant round-robin scheduler
+// (internal/cluster): each backlogged tenant is served one job per
+// turn, so one hot tenant cannot starve the rest. Overflow of the
+// shared queue is refused immediately (HTTP 429 with Retry-After: 1),
+// and shutdown is a graceful drain: stop admitting, finish or cancel
 // in-flight jobs, keep /metrics readable throughout.
 //
 // The point of the service (vs. the one-shot CLIs) is that MCFI's
@@ -26,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -117,7 +115,7 @@ type JobResult struct {
 	// Tenant echoes the scheduling tenant.
 	Tenant string `json:"tenant,omitempty"`
 	// StoreTier names where the job's image came from: "mem", "disk",
-	// "remote", or "built" (compiled for this job). BuildCacheHit is
+	// or "built" (compiled for this job). BuildCacheHit is
 	// the legacy boolean view of the same fact (any tier but "built").
 	StoreTier     string `json:"store_tier,omitempty"`
 	BuildCacheHit bool   `json:"build_cache_hit"`
@@ -161,9 +159,6 @@ type Config struct {
 	// QueueDepth bounds jobs admitted but not yet running across all
 	// tenants; overflow is rejected with ErrBusy (default 2×Workers).
 	QueueDepth int
-	// TenantWeights sets per-tenant DWRR service shares (unlisted
-	// tenants weigh 1).
-	TenantWeights map[string]int
 	// CacheEntries bounds the in-memory store tier (default
 	// buildstore.DefaultMemEntries).
 	CacheEntries int
@@ -171,18 +166,6 @@ type Config struct {
 	// there: images and libc objects survive restarts, and concurrent
 	// server processes may share the directory.
 	StoreDir string
-	// RemoteStore, when set, adds a remote store tier: the base URL of
-	// another mcfi-serve (or shared cache) whose /v1/store endpoint is
-	// consulted after mem and disk, and published to on fresh builds
-	// (publishing requires StoreSecret).
-	RemoteStore string
-	// StoreSecret is the shared secret that authenticates the
-	// /v1/store write plane: PUTs this server accepts, and blobs this
-	// server fetches from or publishes to RemoteStore, carry an
-	// HMAC binding payload to key. Empty means the store surface is
-	// read-only: all incoming PUTs are refused, nothing is published to
-	// RemoteStore, and fetched blobs are integrity-checked only.
-	StoreSecret string
 	// DefaultMaxInstr is the per-job instruction budget when a request
 	// does not set one (default 2e9). <0 disables the default.
 	DefaultMaxInstr int64
@@ -191,9 +174,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxOutputBytes truncates captured guest output (default 1 MiB).
 	MaxOutputBytes int64
-	// BuildJobs bounds per-build compile concurrency (default 1: the
-	// pool itself provides the parallelism).
-	BuildJobs int
 	// TraceSample is the fraction of jobs traced end to end, decided
 	// deterministically from the trace ID (0 → default 1.0; negative →
 	// tracing off).
@@ -225,9 +205,6 @@ func (c *Config) fillDefaults() {
 	if c.MaxOutputBytes <= 0 {
 		c.MaxOutputBytes = 1 << 20
 	}
-	if c.BuildJobs <= 0 {
-		c.BuildJobs = 1
-	}
 	if c.TraceSample == 0 {
 		c.TraceSample = 1
 	} else if c.TraceSample < 0 {
@@ -255,7 +232,6 @@ type job struct {
 type Server struct {
 	cfg   Config
 	store *buildstore.Tiered
-	disk  *buildstore.Disk // persistent tier, also served at /v1/store
 	sched *cluster.Sched[*job]
 	start time.Time
 
@@ -268,8 +244,6 @@ type Server struct {
 
 	workers sync.WaitGroup
 	busy    atomic.Int64
-
-	completions *cluster.RateMeter // drain rate, powers Retry-After
 
 	// Observability plane: the sampled trace ring, the CFI audit log,
 	// and the latency histograms behind ?format=prom. queueHist also
@@ -293,11 +267,10 @@ type Server struct {
 
 // New starts a server's worker pool, assembling the build store from
 // the config: always an in-memory tier, plus a disk tier when StoreDir
-// is set and a remote tier when RemoteStore is set. It fails when the
-// store directory cannot be opened. Callers must eventually Drain.
+// is set. It fails when the store directory cannot be opened. Callers
+// must eventually Drain.
 func New(cfg Config) (*Server, error) {
 	cfg.fillDefaults()
-	tiers := []buildstore.Store{buildstore.NewMem(cfg.CacheEntries)}
 	var disk *buildstore.Disk
 	if cfg.StoreDir != "" {
 		d, err := buildstore.OpenDisk(cfg.StoreDir)
@@ -305,27 +278,18 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		disk = d
-		tiers = append(tiers, d)
-	}
-	if cfg.RemoteStore != "" {
-		tiers = append(tiers, buildstore.NewRemote(cfg.RemoteStore, nil, cfg.StoreSecret))
 	}
 
 	s := &Server{
-		cfg:   cfg,
-		store: buildstore.NewTiered(tiers...),
-		disk:  disk,
-		sched: cluster.NewSched[*job](cluster.SchedConfig{
-			TotalQueue: cfg.QueueDepth,
-			Weights:    cfg.TenantWeights,
-		}),
-		completions: cluster.NewRateMeter(512, 10*time.Second),
-		start:       time.Now(),
-		tracer:      obs.NewRecorder(cfg.TraceSample, cfg.TraceBuffer),
-		audit:       obs.NewAuditLog(cfg.AuditBuffer, cfg.AuditSink),
-		queueHist:   obs.NewHistVec(nil),
-		buildHist:   obs.NewHistVec(nil),
-		runHist:     obs.NewHistVec(nil),
+		cfg:       cfg,
+		store:     buildstore.NewTiered(buildstore.NewMem(cfg.CacheEntries), disk),
+		sched:     cluster.NewSched[*job](cluster.SchedConfig{TotalQueue: cfg.QueueDepth}),
+		start:     time.Now(),
+		tracer:    obs.NewRecorder(cfg.TraceSample, cfg.TraceBuffer),
+		audit:     obs.NewAuditLog(cfg.AuditBuffer, cfg.AuditSink),
+		queueHist: obs.NewHistVec(nil),
+		buildHist: obs.NewHistVec(nil),
+		runHist:   obs.NewHistVec(nil),
 	}
 	s.force, s.forceStop = context.WithCancel(context.Background())
 
@@ -432,29 +396,9 @@ func (s *Server) worker() {
 		j.res = s.runJob(j)
 		s.recordResult(j.res)
 		s.sched.Done(j.tenant)
-		s.completions.Observe(time.Now())
 		s.busy.Add(-1)
 		close(j.done)
 	}
-}
-
-// retryAfterSecs estimates how long a refused client should wait
-// before retrying, from the current backlog over the observed drain
-// rate, clamped to [1, 30] seconds.
-func (s *Server) retryAfterSecs() int {
-	depth := s.sched.Queued()
-	rate := s.completions.PerSec(time.Now())
-	if rate <= 0 {
-		return 2 // cold start: no drain history yet
-	}
-	secs := int(math.Ceil(float64(depth+1) / rate))
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 30 {
-		secs = 30
-	}
-	return secs
 }
 
 // limitWriter truncates guest output host-side past a byte budget (the
@@ -525,7 +469,7 @@ func (s *Server) resolve(req JobRequest) (*toolchain.Builder, toolchain.Source, 
 	b := toolchain.New(
 		toolchain.WithProfile(profile),
 		toolchain.WithInstrument(!req.Baseline),
-		toolchain.WithJobs(s.cfg.BuildJobs),
+		toolchain.WithJobs(1), // the worker pool provides the parallelism
 		toolchain.WithStore(s.store),
 	)
 	return b, src, plugins, nil
@@ -769,17 +713,15 @@ type JobCounts struct {
 
 // QueueState reports live backpressure, including queue-wait
 // percentiles since start (interpolated from the queue-wait
-// histogram's buckets) and the Retry-After estimate 429s currently
-// carry.
+// histogram's buckets).
 type QueueState struct {
-	Depth          int     `json:"depth"`
-	Capacity       int     `json:"capacity"`
-	Workers        int     `json:"workers"`
-	Busy           int     `json:"busy"`
-	P50Ms          float64 `json:"queue_p50_ms"`
-	P95Ms          float64 `json:"queue_p95_ms"`
-	P99Ms          float64 `json:"queue_p99_ms"`
-	RetryAfterSecs int     `json:"retry_after_secs"`
+	Depth    int     `json:"depth"`
+	Capacity int     `json:"capacity"`
+	Workers  int     `json:"workers"`
+	Busy     int     `json:"busy"`
+	P50Ms    float64 `json:"queue_p50_ms"`
+	P95Ms    float64 `json:"queue_p95_ms"`
+	P99Ms    float64 `json:"queue_p99_ms"`
 }
 
 // ExecMetrics aggregates guest execution across all completed jobs.
@@ -821,11 +763,10 @@ func (s *Server) MetricsSnapshot() Metrics {
 			BuildErrors:     s.buildErrs.Load(),
 		},
 		Queue: QueueState{
-			Depth:          s.sched.Queued(),
-			Capacity:       s.cfg.QueueDepth,
-			Workers:        s.cfg.Workers,
-			Busy:           int(s.busy.Load()),
-			RetryAfterSecs: s.retryAfterSecs(),
+			Depth:    s.sched.Queued(),
+			Capacity: s.cfg.QueueDepth,
+			Workers:  s.cfg.Workers,
+			Busy:     int(s.busy.Load()),
 		},
 		Tenants:    s.sched.Stats(),
 		BuildStore: s.store.Metrics(),
@@ -873,9 +814,7 @@ func (s *Server) MetricsSnapshot() Metrics {
 
 // Handler returns the service mux. The surface is versioned under
 // /v1/ — POST /v1/run, GET /v1/healthz, GET /v1/metrics, GET
-// /v1/trace/{id}, GET /v1/audit, and the store protocol at
-// /v1/store/{key} (GET/HEAD/PUT of sealed blobs, backed by the disk
-// tier).
+// /v1/trace/{id} and GET /v1/audit.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/run", s.handleRun)
@@ -883,31 +822,20 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/metrics", s.handleMetrics)
 	mux.HandleFunc("/v1/trace/", s.handleTrace)
 	mux.HandleFunc("/v1/audit", s.handleAudit)
-	mux.Handle("/v1/store/", s.storeHandler())
 	return mux
 }
 
-// storeHandler serves the store-sharing protocol from the disk tier;
-// without one (no -store-dir) there is nothing persistent to share.
-// Writes are gated on the shared secret (see Config.StoreSecret):
-// without it the surface is read-only, so an open serve port cannot be
-// used to publish a hostile artifact under a victim fingerprint.
-func (s *Server) storeHandler() http.Handler {
-	if s.disk == nil {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			http.Error(w, "no persistent store configured (start with -store-dir)", http.StatusNotFound)
-		})
-	}
-	return buildstore.Handler(s.disk, s.cfg.StoreSecret)
-}
+// busyRetryAfter is the Retry-After, in seconds, that every 429 carries:
+// a fixed value, since no workload has shown that a drain-rate estimate
+// brings a refused client back any sooner.
+const busyRetryAfter = "1"
 
 // writeSubmitError maps an admission error onto the HTTP surface,
-// attaching Retry-After to backpressure responses so clients know
-// when the queue should have drained.
+// attaching Retry-After to backpressure responses.
 func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrBusy):
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs()))
+		w.Header().Set("Retry-After", busyRetryAfter)
 		http.Error(w, err.Error(), http.StatusTooManyRequests)
 	case errors.Is(err, ErrDraining):
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)

@@ -193,7 +193,7 @@ func (b *Builder) Libc() (*module.Object, error) {
 		lb.noPrelude = true
 		return lb.Compile(Source{Name: "libc", Text: libc.Source})
 	}
-	if b.store != nil && b.store.BlobTiers() > 0 {
+	if b.store != nil && b.store.HasDisk() {
 		local := compile
 		compile = func() (*module.Object, error) {
 			key := buildstore.HashKey(fmt.Sprintf(
